@@ -158,6 +158,9 @@ def cmd_check(args) -> int:
     if args.what == "structure":
         with open(args.infile) as handle:
             data = json.load(handle)
+        if "reward" not in data:
+            print("instance file lacks the required key 'reward'", file=sys.stderr)
+            return 2
         reward = reward_from_descriptor(data["reward"])
         if args.sample is not None and args.seed is None:
             print("--sample requires an explicit --seed", file=sys.stderr)

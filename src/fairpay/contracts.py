@@ -46,6 +46,8 @@ class Instance:
         object.__setattr__(self, "costs", costs)
         if costs.shape != (self.n,):
             raise ParameterError(f"expected {self.n} costs, got shape {costs.shape}")
+        if not np.all(np.isfinite(costs)):
+            raise ParameterError("all effort costs must be finite")
         if np.any(costs <= 0):
             raise ParameterError("all effort costs must be strictly positive")
         if self.reward.n != self.n:

@@ -189,6 +189,8 @@ def solve_with(inst: Instance, spec: ModeSpec, method: str, workers: int = 1) ->
     if method == "delta_partition":
         if spec.mode != "beta_nd":
             raise ParameterError("delta_partition solves the beta_nd mode only")
+        if inst.n < 2:
+            raise ParameterError("delta_partition needs n >= 2 to set delta = log(beta) / log(n)")
         delta = math.log(spec.beta) / math.log(inst.n)
         part = delta_partition(inst, _default_base(inst, workers), delta)
         return SolveReport(spec, part.best(), "delta_partition", len(part.groups), None)

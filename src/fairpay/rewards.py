@@ -9,6 +9,7 @@ indices 0..n-1 everywhere; bit i set means agent i is in the set.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -101,6 +102,19 @@ class RewardFunction(ABC):
         """JSON-serializable description (see the instance file format)."""
 
 
+def _weight_vector(weights: Sequence[float]) -> np.ndarray:
+    """Validated per-agent weights: a nonempty 1-d vector of finite,
+    nonnegative floats."""
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ParameterError("weights must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("weights must be finite")
+    if np.any(w < 0):
+        raise ParameterError("weights must be nonnegative")
+    return w
+
+
 def _additive_table(weights: np.ndarray) -> np.ndarray:
     table = np.zeros(1)
     for w in weights:
@@ -114,11 +128,7 @@ class Additive(RewardFunction):
     kind = "additive"
 
     def __init__(self, weights: Sequence[float]):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ParameterError("weights must be a nonempty 1-d sequence")
-        if np.any(w < 0):
-            raise ParameterError("weights must be nonnegative")
+        w = _weight_vector(weights)
         if w.sum() > 1 + VALUE_TOL:
             raise ParameterError(f"weights sum to {w.sum()}, above 1")
         w.setflags(write=False)
@@ -147,11 +157,7 @@ class CappedAdditive(RewardFunction):
     kind = "capped_additive"
 
     def __init__(self, weights: Sequence[float], cap: float):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ParameterError("weights must be a nonempty 1-d sequence")
-        if np.any(w < 0):
-            raise ParameterError("weights must be nonnegative")
+        w = _weight_vector(weights)
         if not 0.0 <= cap <= 1.0 + VALUE_TOL:
             raise ParameterError(f"cap {cap} outside [0, 1]")
         w.setflags(write=False)
@@ -186,6 +192,8 @@ class Coverage(RewardFunction):
         ew = np.array(element_weights, dtype=float)
         if ew.ndim != 1:
             raise ParameterError("element_weights must be 1-d")
+        if not np.all(np.isfinite(ew)):
+            raise ParameterError("element weights must be finite")
         if np.any(ew < 0):
             raise ParameterError("element weights must be nonnegative")
         if ew.sum() > 1 + VALUE_TOL:
@@ -202,7 +210,7 @@ class Coverage(RewardFunction):
         if not self.covers:
             raise ParameterError("at least one agent is required")
         self.n = len(self.covers)
-        # element bitmask per agent, used by the dense table builder
+        # element bitmask per agent, used by the pointwise evaluation
         self._cover_masks = [
             sum(1 << e for e in cover) for cover in self.covers
         ]
@@ -221,16 +229,31 @@ class Coverage(RewardFunction):
         return total
 
     def value_table(self) -> np.ndarray:
-        n_elem = self.element_weights.size
-        if n_elem > 64:
-            return super().value_table()
-        cov = np.zeros(1, dtype=np.uint64)
-        for m in self._cover_masks:
-            cov = np.concatenate([cov, cov | np.uint64(m)])
-        table = np.zeros(cov.size)
-        for e in range(n_elem):
-            bit = (cov >> np.uint64(e)) & np.uint64(1)
-            table += self.element_weights[e] * bit.astype(float)
+        """Dense table of f, bit for bit equal to the pointwise evaluation.
+
+        Element weights are added in ascending element order, as
+        _value_of_mask adds them.  The masks that cover element e split
+        into disjoint blocks, one per agent k covering e: bit k set and the
+        bits of the covering agents above k clear.  With the table viewed
+        as one axis per agent (axis n-1-i holds agent i's bit) each block is
+        a strided view, so w_e is added to exactly the covering masks with
+        no mask arrays.  Taking the highest agent first gives the largest
+        block the longest contiguous runs.
+        """
+        n = self.n
+        table = np.zeros(1 << n)
+        grid = table.reshape((2,) * n)
+        holders = [[] for _ in self.element_weights]
+        for i, cover in enumerate(self.covers):
+            for e in cover:
+                holders[e].append(i)
+        for w, agents in zip(self.element_weights, holders):
+            index = [slice(None)] * n
+            for k in reversed(agents):
+                index[n - 1 - k] = 1
+                block = grid[(*index, ...)]  # a view even with every axis fixed
+                block += w
+                index[n - 1 - k] = 0
         return np.clip(table, 0.0, 1.0)
 
     def descriptor(self) -> dict:
@@ -260,6 +283,8 @@ class ExplicitTable(RewardFunction):
             raise ParameterError(
                 f"explicit table needs exactly 2^{n} = {1 << n} entries, got {t.size}"
             )
+        if not np.all(np.isfinite(t)):
+            raise ParameterError("table values must be finite")
         if np.any(t < -VALUE_TOL) or np.any(t > 1 + VALUE_TOL):
             raise ParameterError("table values must lie in [0, 1]")
         if abs(t[0]) > VALUE_TOL:
@@ -294,6 +319,8 @@ class SymmetricTwoClass(RewardFunction):
     def __init__(self, f_a: float, f_b: float, count_b: int):
         if count_b < 1:
             raise ParameterError("count_b must be at least 1")
+        if not (math.isfinite(f_a) and math.isfinite(f_b)):
+            raise ParameterError("contributions must be finite")
         if f_a < 0 or f_b < 0:
             raise ParameterError("contributions must be nonnegative")
         if f_a + count_b * f_b > 1 + VALUE_TOL:
@@ -423,14 +450,17 @@ def check_structure(
 def reward_from_descriptor(desc: dict) -> RewardFunction:
     """Build a reward function from its JSON descriptor."""
     kind = desc.get("kind")
-    if kind == "additive":
-        return Additive(desc["weights"])
-    if kind == "capped_additive":
-        return CappedAdditive(desc["weights"], desc["cap"])
-    if kind == "coverage":
-        return Coverage([e["weight"] for e in desc["elements"]], desc["covers"])
-    if kind == "explicit":
-        return ExplicitTable(desc["n"], desc["table"])
-    if kind == "symmetric_two_class":
-        return SymmetricTwoClass(desc["f_a"], desc["f_b"], desc["count_b"])
+    try:
+        if kind == "additive":
+            return Additive(desc["weights"])
+        if kind == "capped_additive":
+            return CappedAdditive(desc["weights"], desc["cap"])
+        if kind == "coverage":
+            return Coverage([e["weight"] for e in desc["elements"]], desc["covers"])
+        if kind == "explicit":
+            return ExplicitTable(desc["n"], desc["table"])
+        if kind == "symmetric_two_class":
+            return SymmetricTwoClass(desc["f_a"], desc["f_b"], desc["count_b"])
+    except KeyError as exc:
+        raise ParameterError(f"{kind} reward descriptor lacks the key {exc.args[0]!r}") from None
     raise ParameterError(f"unknown reward kind: {kind!r}")

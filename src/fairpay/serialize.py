@@ -34,6 +34,9 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(data: dict) -> Instance:
     if data.get("version") != FILE_VERSION:
         raise ParameterError(f"unsupported instance file version {data.get('version')!r}")
+    missing = [key for key in ("n", "costs", "reward") if key not in data]
+    if missing:
+        raise ParameterError(f"instance file lacks the required key(s) {missing}")
     return Instance(
         n=int(data["n"]),
         costs=np.asarray(data["costs"], dtype=float),

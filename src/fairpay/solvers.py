@@ -1,7 +1,10 @@
 """Optimizers over incentive sets.
 
-brute_force enumerates every subset (vectorized over the dense value
-table, optionally in parallel chunks with a deterministic reduction).
+brute_force enumerates every subset, vectorized over the dense value
+table: agent i's marginals are the difference of the two halves of the
+table viewed as reshape(-1, 2, 2^i), so the kernel builds no mask or index
+arrays.  The range may be split into aligned power-of-two blocks scanned
+in parallel threads, merged with a deterministic reduction.
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
 fraction of the base utility.  symmetric_solve and two_agent_solve are
@@ -85,56 +88,94 @@ def _better(key_a, key_b) -> bool:
 
 def _chunk_best(table, costs, mode, beta, lo, hi):
     """Best (utility, popcount, mask) for the requested mode and for the
-    unconstrained mode over masks in [lo, hi)."""
-    n = costs.size
-    masks = np.arange(lo, hi, dtype=np.int64)
+    unconstrained mode over masks in [lo, hi).
+
+    [lo, hi) must be an aligned power-of-two block.  For an agent i whose
+    bit varies inside the block, the block viewed as reshape(-1, 2, 2^i)
+    holds the masks without i in [:, 0, :] and their partners with i in
+    [:, 1, :] (the stride layout of Yates' fast subset transform), so the
+    marginal is the difference of the two halves and every per-mask array
+    is updated in place through the same view; no mask or index array is
+    built.  An agent whose bit is fixed across the block is either in
+    every mask, with marginal vals - table[lo ^ 2^i : ...], or in none.
+    """
+    size = hi - lo
     vals = table[lo:hi]
-    feas = np.ones(hi - lo, dtype=bool)
-    max_a = np.zeros(hi - lo)
-    sum_a = np.zeros(hi - lo)
-    popc = np.zeros(hi - lo, dtype=np.int64)
+    max_a = np.zeros(size)
+    sum_a = np.zeros(size)
+    # lo has no bits below size, so popcount(lo + k) = popcount(lo) + popcount(k)
+    popc = np.full(1, lo.bit_count(), dtype=np.uint8)
+    while popc.size < size:
+        popc = np.concatenate([popc, popc + 1])
+    a_buf = np.empty(size)
+    bad_buf = np.empty(size, dtype=bool)
 
-    def member_alphas(i):
+    def halves(arr, bit):
+        # (without, with) views; for the lowest bits the short axis goes
+        # first so that numpy's inner loop runs along the long one
+        v = arr.reshape(-1, 2, bit)
+        if bit <= 4:
+            return v[:, 0, :].T, v[:, 1, :].T
+        return v[:, 0, :], v[:, 1, :]
+
+    def members(arr, i):
         bit = 1 << i
-        has = (masks & bit) != 0
-        sub = masks[has]
-        marg = table[sub] - table[sub ^ bit]
-        ok = marg > MARGINAL_TOL
-        a = np.where(ok, costs[i] / np.where(ok, marg, 1.0), np.inf)
-        return has, ok, a
+        return halves(arr, bit)[1] if bit < size else arr
 
-    for i in range(n):
-        has, ok, a = member_alphas(i)
-        popc[has] += 1
-        feas[has] &= ok & (a <= 1 + COMPARE_TOL)
-        max_a[has] = np.maximum(max_a[has], a)
-        sum_a[has] += a
+    def alphas(i):
+        """Indifference payments of agent i in each mask that contains it
+        (inf where the marginal vanishes), in a_buf shaped like members()."""
+        bit = 1 << i
+        if bit < size:
+            without, with_i = halves(vals, bit)
+            a = a_buf[: size // 2].reshape(without.shape)
+            bad = bad_buf[: size // 2].reshape(without.shape)
+        else:
+            without, with_i = table[lo ^ bit : (lo ^ bit) + size], vals
+            a, bad = a_buf, bad_buf
+        np.subtract(with_i, without, out=a)
+        np.less_equal(a, MARGINAL_TOL, out=bad)
+        np.copyto(a, 0.0, where=bad)
+        with np.errstate(divide="ignore"):
+            return np.divide(costs[i], a, out=a)
 
-    if mode == "unconstrained":
-        pay = sum_a
-    elif mode == "nd":
-        pay = popc * max_a
-    else:
-        pay = np.zeros(hi - lo)
-        for i in range(n):
-            has, _, a = member_alphas(i)
-            pay[has] += np.maximum(a, max_a[has] / beta)
+    agents = [i for i in range(costs.size) if (1 << i) < size or (lo >> i) & 1]
+    for i in agents:
+        a = alphas(i)
+        top, total = members(max_a, i), members(sum_a, i)
+        np.maximum(top, a, out=top)
+        total += a
+    # a set is feasible iff every member's payment is at most 1, i.e. iff
+    # its largest payment is; a vanishing marginal makes that payment inf
+    infeasible = max_a > 1 + COMPARE_TOL
 
-    def select(pay_vec):
+    def select(pay):
+        """Reduce a payment vector, overwriting it with the utilities."""
+        np.subtract(1.0, pay, out=pay)
         with np.errstate(invalid="ignore"):
-            util = (1.0 - pay_vec) * vals
-        util[~feas] = -np.inf
-        if lo == 0:
-            util[0] = 0.0
-        top = util.max()
+            np.multiply(pay, vals, out=pay)
+        np.copyto(pay, -np.inf, where=infeasible)
+        top = pay.max()
         if not np.isfinite(top):
             return None
-        cand = np.flatnonzero(util == top)
+        cand = np.flatnonzero(pay == top)
         cand = cand[popc[cand] == popc[cand].min()]
         idx = int(cand.min())
-        return (float(util[idx]), int(popc[idx]), lo + idx)
+        return (float(pay[idx]), int(popc[idx]), lo + idx)
 
-    return select(pay), select(sum_a)
+    ref = select(sum_a)
+    if mode == "unconstrained":
+        return ref, ref
+    if mode == "nd":
+        return select(np.multiply(popc, max_a, out=max_a)), ref
+    floor = np.divide(max_a, beta, out=max_a)
+    pay = np.zeros(size)
+    for i in agents:
+        a = alphas(i)
+        np.maximum(a, members(floor, i), out=a)
+        total = members(pay, i)
+        total += a
+    return select(pay), ref
 
 
 def brute_force(
@@ -145,10 +186,12 @@ def brute_force(
 ) -> SolveReport:
     """Exact optimum by scanning all 2^n subsets.
 
-    The subset range is split into contiguous chunks (one per worker);
-    chunk winners are merged with the deterministic tie-break, so the
-    result never depends on the chunking.  The unconstrained optimum is
-    computed alongside and reported as opt_reference.
+    The subset range is split into equal aligned blocks, as many as the
+    largest power of two not above min(workers, 2^n), scanned in parallel
+    threads; block winners are merged with the deterministic tie-break and
+    every per-subset figure is computed the same way in any block, so the
+    result never depends on the worker count.  The unconstrained optimum
+    is computed alongside and reported as opt_reference.
     """
     n = inst.n
     if n > limit:
@@ -159,13 +202,9 @@ def brute_force(
     table = inst.reward.value_table()
     costs = inst.costs
     total = 1 << n
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, total, min(workers, total) + 1, dtype=np.int64)
-    ranges = [
-        (int(bounds[k]), int(bounds[k + 1]))
-        for k in range(len(bounds) - 1)
-        if bounds[k] < bounds[k + 1]
-    ]
+    chunks = 1 << (min(max(1, int(workers)), total).bit_length() - 1)
+    size = total // chunks
+    ranges = [(lo, lo + size) for lo in range(0, total, size)]
 
     if len(ranges) == 1:
         results = [_chunk_best(table, costs, spec.mode, spec.beta, *ranges[0])]

@@ -131,6 +131,36 @@ def test_solve_degenerate_exit_3(tmp_path):
                 "--out", tmp_path / "r.json"]) == 3
 
 
+def test_solve_delta_partition_single_agent_exit_2(tmp_path, capsys):
+    inst = tmp_path / "one.json"
+    assert run(["gen", "random-additive", "--n", 1, "--seed", 3, "--out", inst]) == 0
+    assert run(["solve", "--in", inst, "--mode", "beta-nd", "--beta", 2,
+                "--method", "delta-partition", "--out", tmp_path / "r.json"]) == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n", "costs", "reward"])
+def test_instance_file_missing_key_exit_2(tmp_path, capsys, key):
+    data = {
+        "version": "1", "n": 2, "costs": [0.1, 0.1],
+        "reward": {"kind": "additive", "weights": [0.4, 0.4]},
+        "metadata": {},
+    }
+    del data[key]
+    inst = tmp_path / "partial.json"
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", inst, "--mode", "nd", "--out", tmp_path / "r.json"]) == 2
+    assert repr(key) in capsys.readouterr().err
+    if key == "reward":
+        assert run(["check", "structure", "--in", inst]) == 2
+        assert repr(key) in capsys.readouterr().err
+    # a reward descriptor without its parameters is reported the same way
+    data = {**data, "reward": {"kind": "additive"}}
+    inst.write_text(json.dumps(data))
+    assert run(["check", "structure", "--in", inst]) == 2
+    assert "'weights'" in capsys.readouterr().err
+
+
 def test_check_structure_pass(tmp_path, capsys):
     inst = tmp_path / "cov.json"
     run(["gen", "random-coverage", "--n", 6, "--seed", 3, "--out", inst])

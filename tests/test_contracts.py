@@ -30,6 +30,10 @@ def test_instance_validation():
         Instance(2, np.array([0.1, 0.0]), Additive([0.5, 0.5]))  # zero cost
     with pytest.raises(ParameterError):
         Instance(3, np.array([0.1, 0.1]), Additive([0.3, 0.3, 0.3]))  # length
+    for bad in (math.nan, math.inf):
+        # a NaN cost passes "cost > 0" checks; it must not be dropped silently
+        with pytest.raises(ParameterError, match="finite"):
+            Instance(3, np.array([0.01, bad, 0.02]), Additive([0.3, 0.3, 0.3]))
     from fairpay.rewards import ExplicitTable
 
     with pytest.raises(ParameterError):

@@ -99,6 +99,25 @@ def test_construction_rejections():
         SymmetricTwoClass(0.9, 0.2, 2)  # total above 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Additive([0.2, x]),
+        lambda x: CappedAdditive([x, 0.2], cap=0.5),
+        lambda x: Coverage([0.3, x], [[0], [1]]),
+        lambda x: ExplicitTable(2, [0.0, 0.2, x, 0.4]),
+        lambda x: SymmetricTwoClass(x, 0.1, 2),
+        lambda x: SymmetricTwoClass(0.1, x, 2),
+    ],
+    ids=["additive", "capped", "coverage", "explicit", "two_class_a", "two_class_b"],
+)
+def test_construction_rejects_non_finite(build, bad):
+    # NaN slips past every range comparison, so it must be caught by name
+    with pytest.raises(ParameterError, match="finite"):
+        build(bad)
+
+
 def test_check_structure_additive_passes():
     report = check_structure(Additive([0.3, 0.4]))
     assert report.monotone and report.submodular
@@ -186,6 +205,19 @@ def test_value_table_matches_pointwise_eval():
         table = f.value_table()
         for mask in range(1 << 7):
             assert table[mask] == pytest.approx(f.value(mask), abs=1e-12)
+    # coverage tables add element weights in ascending order, as the
+    # pointwise evaluation does, so they agree bit for bit; also with one
+    # agent, with an element every agent covers, and above 64 elements
+    rng = np.random.default_rng(13)
+    weights = rng.uniform(0.0, 1.0, 70)
+    coverages = [
+        gen_random("coverage", 7, seed=13).reward,
+        gen_random("coverage", 1, seed=13).reward,
+        Coverage(weights / weights.sum(), [[0, 5, 69], [0, 1, 68], list(range(0, 70, 3))]),
+    ]
+    for f in coverages:
+        table = f.value_table()
+        assert np.array_equal(table, [f.value(mask) for mask in range(1 << f.n)])
     sym = SymmetricTwoClass(0.4, 0.05, 6)
     table = sym.value_table()
     for mask in range(1 << 7):

@@ -13,7 +13,7 @@ from fairpay.families import (
     gen_two_agent_tight,
     gen_two_class,
 )
-from fairpay.rewards import Additive, SymmetricTwoClass, mask_to_indices
+from fairpay.rewards import Additive, ExplicitTable, SymmetricTwoClass, mask_to_indices
 from fairpay.solvers import (
     brute_force,
     delta_partition,
@@ -58,12 +58,18 @@ def test_brute_force_size_limit():
 
 
 def test_brute_force_worker_independence():
-    for seed in (1, 2, 3):
-        inst = gen_random("coverage", 9, seed=seed)
+    # n = 12 with up to 4 blocks of 2^10 subsets: agents 10 and 11 keep one
+    # bit value across a block, which the kernel handles apart; the last
+    # three instances have winners that contain agent 11 or both
+    instances = [gen_random("coverage", 12, seed=seed) for seed in (1, 6, 7)]
+    instances.append(gen_random("additive", 12, seed=3))
+    for inst in instances:
         for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(3.0)):
-            reports = [brute_force(inst, spec, workers=w) for w in (1, 2, 4, 7)]
+            reports = [brute_force(inst, spec, workers=w) for w in (1, 2, 3, 4, 7)]
             assert len({r.best.members for r in reports}) == 1
             assert len({r.best.utility for r in reports}) == 1
+            assert len({r.best.payments.payments.tobytes() for r in reports}) == 1
+            assert len({r.opt_reference for r in reports}) == 1
 
 
 def test_brute_force_matches_per_set_engine_scan():
@@ -71,20 +77,32 @@ def test_brute_force_matches_per_set_engine_scan():
     # directly and compare against the vectorized scan
     rng = np.random.default_rng(59)
     kinds = ("additive", "coverage", "capped_additive")
-    for k in range(9):
-        inst = gen_random(kinds[k % 3], int(rng.integers(2, 9)), seed=int(rng.integers(0, 10_000)))
+    instances = [
+        gen_random(kinds[k % 3], int(rng.integers(2, 9)), seed=int(rng.integers(0, 10_000)))
+        for k in range(9)
+    ]
+    instances += [gen_random(kind, 1, seed=k) for k, kind in enumerate(kinds)]
+    cov = gen_random("coverage", 6, seed=61)
+    instances.append(Instance(6, cov.costs, ExplicitTable(6, cov.reward.value_table())))
+    for inst in instances:
+        slow = {}
         for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(3.0)):
             outs = [
                 optimal_contract_for_set(inst, mask, spec)
                 for mask in range(1 << inst.n)
             ]
-            slow_best = max(
+            slow[spec.mode] = max(
                 (o for o in outs if o.feasible),
                 key=lambda o: (o.utility, -o.members.bit_count(), -o.members),
             )
-            fast = brute_force(inst, spec).best
-            assert fast.members == slow_best.members
-            assert fast.utility == pytest.approx(slow_best.utility, abs=1e-12)
+            report = brute_force(inst, spec)
+            fast = report.best
+            assert fast.members == slow[spec.mode].members
+            assert fast.utility == pytest.approx(slow[spec.mode].utility, abs=1e-12)
+            assert np.array_equal(fast.payments.payments, slow[spec.mode].payments.payments)
+            assert report.opt_reference == pytest.approx(
+                slow["unconstrained"].utility, abs=1e-12
+            )
 
 
 def test_brute_force_winners_are_equilibria():
