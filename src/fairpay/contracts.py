@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractLogicError, EmptySetError, ParameterError
-from .rewards import RewardFunction, as_mask, check_structure, mask_to_indices
+from .rewards import RewardFunction, as_mask, check_structure, mask_to_bools, mask_to_indices
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ class Contract:
         p = np.array(self.payments, dtype=float)
         p.setflags(write=False)
         object.__setattr__(self, "payments", p)
-        if np.any(p < -COMPARE_TOL) or np.any(p > 1 + COMPARE_TOL):
+        if p.size and (p.min() < -COMPARE_TOL or p.max() > 1 + COMPARE_TOL):
             raise ParameterError("contract payments must lie in [0, 1]")
 
     def total(self) -> float:
@@ -101,7 +101,7 @@ class ModeSpec:
         if self.mode not in ("unconstrained", "nd", "beta_nd"):
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.mode == "beta_nd":
-            if self.beta is None or self.beta < 1:
+            if self.beta is None or not self.beta >= 1:
                 raise ParameterError("beta_nd mode requires beta >= 1")
         elif self.beta is not None:
             raise ParameterError(f"mode {self.mode!r} takes no beta")
@@ -181,30 +181,32 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
     Payments follow the mode: indifference payments, the uniform group
     payment, or max(indifference, top/beta).  Utility is
     (1 - total payment) * f(S); it may be negative for feasible sets.
+
+    Members are priced together, costs[S] / marginals(S)[S], so the cost
+    is one marginals call plus O(n) array work: O(n) for rewards with
+    constant marginals, n + 1 value-oracle calls for the others.
     """
     mask = as_mask(subset, inst.n)
     n = inst.n
     if mask == 0:
         return _empty_outcome(n)
 
-    members = mask_to_indices(mask)
-    alphas = np.empty(len(members))
-    for k, i in enumerate(members):
-        a = indifference_payment(inst, i, mask)
-        if a is None:
-            return _infeasible(n, mask, "zero-marginal")
-        alphas[k] = a
+    members = mask_to_bools(mask, n)
+    marg = inst.reward.marginals(mask)[members]
+    if marg.min() <= MARGINAL_TOL:
+        return _infeasible(n, mask, "zero-marginal")
+    alphas = inst.costs[members] / marg
 
+    # every mode pays the top member exactly top (top / beta <= top)
     top = float(alphas.max())
+    if top > 1 + COMPARE_TOL:
+        return _infeasible(n, mask, "payment-above-one")
     if spec.mode == "unconstrained":
         pay = alphas
     elif spec.mode == "nd":
-        pay = np.full(len(members), top)
+        pay = np.full(alphas.size, top)
     else:
         pay = np.maximum(alphas, top / spec.beta)
-
-    if pay.max() > 1 + COMPARE_TOL:
-        return _infeasible(n, mask, "payment-above-one")
 
     payments = np.zeros(n)
     payments[members] = np.minimum(pay, 1.0)
@@ -215,33 +217,27 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
 def is_equilibrium(inst: Instance, contract: Contract, subset) -> bool:
     """True when exerting exactly S is a pure Nash equilibrium.
 
-    Members must weakly prefer effort (ties break toward effort), and
-    non-members must weakly prefer shirking.  Comparisons carry a small
-    slack; non-members sitting exactly on the boundary are logged since
-    the tie-break would pull them in.
+    With m_i = f(S + i) - f(S - i) from one marginals call, agent i gains
+    a_i m_i - c_i by exerting.  Members must weakly prefer effort
+    (a_i m_i - c_i >= -tol; ties break toward effort) and non-members
+    must weakly prefer shirking (a_i m_i - c_i <= tol).  This regrouping
+    of a_i f(S) - c_i against a_i f(S - i) differs from comparing the two
+    utilities directly only by rounding (about 1e-16, against a
+    COMPARE_TOL of 1e-9).  Non-members sitting exactly on the boundary
+    are logged since the tie-break would pull them in.
     """
     mask = as_mask(subset, inst.n)
-    f = inst.reward
-    f_S = f.value(mask)
-    for i in range(inst.n):
-        a_i = float(contract.payments[i])
-        if (mask >> i) & 1:
-            stay = a_i * f_S - float(inst.costs[i])
-            leave = a_i * f.value(mask & ~(1 << i))
-            if stay < leave - COMPARE_TOL:
-                return False
-        else:
-            out = a_i * f_S
-            join = a_i * f.value(mask | (1 << i)) - float(inst.costs[i])
-            if join > out + COMPARE_TOL:
-                return False
-            if abs(join - out) <= COMPARE_TOL and a_i > 0:
-                log.debug(
-                    "agent %d outside the set is exactly indifferent; "
-                    "the effort tie-break would include them",
-                    i,
-                )
-    return True
+    pay = contract.payments
+    gain = pay * inst.reward.marginals(mask) - inst.costs
+    members = mask_to_bools(mask, inst.n)
+    if log.isEnabledFor(logging.DEBUG):
+        for i in np.flatnonzero(~members & (np.abs(gain) <= COMPARE_TOL) & (pay > 0)):
+            log.debug(
+                "agent %d outside the set is exactly indifferent; "
+                "the effort tie-break would include them",
+                i,
+            )
+    return not (np.any(gain[members] < -COMPARE_TOL) or np.any(gain[~members] > COMPARE_TOL))
 
 
 def best_response_step(inst: Instance, contract: Contract, subset) -> int:

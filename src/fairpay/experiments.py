@@ -25,6 +25,7 @@ from .rewards import ExplicitTable
 from .solvers import (
     BRUTE_FORCE_LIMIT,
     SolveReport,
+    _argbest,
     _better,
     brute_force,
     delta_partition,
@@ -92,23 +93,33 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     Candidate sets are unions of consecutive whole groups plus a prefix of
     the next group (agents within a group are interchangeable, and lower
     groups dominate higher ones per unit of payment), which brute force
-    confirms is where the optimum lives for small m.  Runs in O(n m)
-    instead of 2^n.
+    confirms is where the optimum lives for small m.  The n m candidates
+    are evaluated as one array per (first group L, last group j) block,
+    O(n m) array work in all; a candidate is the agents from group L's
+    start up to a prefix of group j, and within a block its size and mask
+    grow with the prefix, so the first maximum wins.  Only the m(m + 1)/2
+    block winners are compared, and given a bitmask, as Python ints.
     """
     m, sizes, starts = _geometric_layout(inst)
     weights = inst.reward.weights
     group_w = [float(weights[starts[g]]) for g in range(m)]
     group_alpha = [float(inst.costs[starts[g]] / weights[starts[g]]) for g in range(m)]
 
+    def block_key(util, lo, start, count):
+        """(utility, size, mask) of a block's winner, where candidate k
+        takes agents lo .. start + k and count + k + 1 agents in all."""
+        k = _argbest(util)
+        return (float(util[k]), count + k + 1, (1 << (start + k + 1)) - (1 << lo))
+
     best = (0.0, 0, 0)
     ref = (0.0, 0, 0)
-    examined = 1
+    examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
     for L in range(m):
         alpha_top = group_alpha[L]
-        feasible = alpha_top <= 1 + 1e-9
+        if not alpha_top <= 1 + 1e-9:
+            continue
         if spec.mode == "beta_nd":
             floor = alpha_top / spec.beta
-        run_mask = 0
         run_count = 0
         run_value = 0.0
         run_pay_unc = 0.0
@@ -121,22 +132,16 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
                 pay_j = alpha_top
             else:
                 pay_j = max(pay_j_unc, floor)
-            for p in range(1, sizes[j] + 1):
-                examined += 1
-                if not feasible:
-                    continue
-                count = run_count + p
-                value = run_value + p * group_w[j]
-                pay_unc = run_pay_unc + p * pay_j_unc
-                pay = pay_unc if spec.mode == "unconstrained" else run_pay_cons + p * pay_j
-                mask = run_mask | (((1 << p) - 1) << starts[j])
-                key_ref = ((1.0 - pay_unc) * value, count, mask)
-                if _better(key_ref, ref):
-                    ref = key_ref
-                key = ((1.0 - pay) * value, count, mask)
-                if _better(key, best):
-                    best = key
-            run_mask |= ((1 << sizes[j]) - 1) << starts[j]
+            p = np.arange(1, sizes[j] + 1, dtype=float)
+            value = run_value + p * group_w[j]
+            pay_unc = run_pay_unc + p * pay_j_unc
+            pay = pay_unc if spec.mode == "unconstrained" else run_pay_cons + p * pay_j
+            key_ref = block_key((1.0 - pay_unc) * value, starts[L], starts[j], run_count)
+            key = block_key((1.0 - pay) * value, starts[L], starts[j], run_count)
+            if _better(key_ref, ref):
+                ref = key_ref
+            if _better(key, best):
+                best = key
             run_count += sizes[j]
             run_value += sizes[j] * group_w[j]
             run_pay_unc += sizes[j] * pay_j_unc

@@ -10,6 +10,7 @@ indices 0..n-1 everywhere; bit i set means agent i is in the set.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -88,6 +89,25 @@ class RewardFunction(ABC):
         mask = as_mask(subset, self.n) & ~(1 << i)
         return self.value(mask | (1 << i)) - self.value(mask)
 
+    def marginals(self, subset) -> np.ndarray:
+        """Every agent's marginal f(S + i) - f(S - i), in index order.
+
+        Entry i is bit for bit marginal(i, S): members are measured against
+        S without them, non-members by joining S.  This generic version
+        evaluates f(S) once and f(S xor i) for each agent; rewards with
+        constant marginals override it with their weights.
+        """
+        mask = as_mask(subset, self.n)
+        f_S = self.value(mask)
+        out = np.empty(self.n)
+        for i in range(self.n):
+            bit = 1 << i
+            if mask & bit:
+                out[i] = f_S - self.value(mask ^ bit)
+            else:
+                out[i] = self.value(mask | bit) - f_S
+        return out
+
     def value_table(self) -> np.ndarray:
         """Dense table of f over all 2^n bitmasks (index = mask)."""
         table = np.fromiter(
@@ -143,6 +163,10 @@ class Additive(RewardFunction):
             raise InvalidSubsetError(f"agent index {i} out of range for n={self.n}")
         as_mask(subset, self.n)
         return float(self.weights[i])
+
+    def marginals(self, subset) -> np.ndarray:
+        as_mask(subset, self.n)
+        return self.weights.copy()
 
     def value_table(self) -> np.ndarray:
         return np.clip(_additive_table(self.weights), 0.0, 1.0)
@@ -210,23 +234,41 @@ class Coverage(RewardFunction):
         if not self.covers:
             raise ParameterError("at least one agent is required")
         self.n = len(self.covers)
-        # element bitmask per agent, used by the pointwise evaluation
-        self._cover_masks = [
-            sum(1 << e for e in cover) for cover in self.covers
-        ]
+        # agent x element incidence and weights, each behind a leading zero
+        # column, so that every row sum below starts from 0.0
+        self._incidence = np.zeros((self.n, n_elem + 1), dtype=bool)
+        for i, cover in enumerate(self.covers):
+            self._incidence[i, [e + 1 for e in cover]] = True
+        self._weights0 = np.concatenate([[0.0], ew])
+
+    def _sums(self, covered: np.ndarray) -> np.ndarray:
+        """Unclipped f of each row of an element-coverage matrix.
+
+        cumsum adds a row's weights one at a time in ascending element
+        order, starting from 0.0, which makes every sum the same float as
+        a plain loop over the covered elements; an uncovered element adds
+        0.0 and changes nothing.
+        """
+        return np.cumsum(np.where(covered, self._weights0, 0.0), axis=-1)[..., -1]
 
     def _value_of_mask(self, mask: int) -> float:
-        covered = 0
-        for i in mask_to_indices(mask):
-            covered |= self._cover_masks[i]
-        total = 0.0
-        e = 0
-        while covered:
-            if covered & 1:
-                total += self.element_weights[e]
-            covered >>= 1
-            e += 1
-        return total
+        return float(self._sums(self._incidence[mask_to_bools(mask, self.n)].any(axis=0)))
+
+    def marginals(self, subset) -> np.ndarray:
+        """Every agent's marginal, bit for bit equal to marginal(i, S).
+
+        Row i of a matrix holds the elements covered by S xor i: those
+        covered by another member for a member, S's elements plus i's for
+        a non-member.  Its sum is f(S xor i), as _value_of_mask adds it.
+        """
+        mask = as_mask(subset, self.n)
+        members = mask_to_bools(mask, self.n)
+        hits = self._incidence[members].sum(axis=0)  # members covering each element
+        # S - i keeps an element some other member covers: hits > (i covers it)
+        rows = np.where(members[:, None], hits > self._incidence, (hits > 0) | self._incidence)
+        values = np.clip(self._sums(np.vstack([hits > 0, rows])), 0.0, 1.0)
+        f_S, others = values[0], values[1:]
+        return np.where(members, f_S - others, others - f_S)
 
     def value_table(self) -> np.ndarray:
         """Dense table of f, bit for bit equal to the pointwise evaluation.
@@ -341,10 +383,14 @@ class SymmetricTwoClass(RewardFunction):
         as_mask(subset, self.n)
         return self.f_a if i == 0 else self.f_b
 
+    def marginals(self, subset) -> np.ndarray:
+        as_mask(subset, self.n)
+        out = np.full(self.n, self.f_b)
+        out[0] = self.f_a
+        return out
+
     def value_table(self) -> np.ndarray:
-        weights = np.full(self.n, self.f_b)
-        weights[0] = self.f_a
-        return np.clip(_additive_table(weights), 0.0, 1.0)
+        return np.clip(_additive_table(self.marginals(0)), 0.0, 1.0)
 
     def descriptor(self) -> dict:
         return {
@@ -447,20 +493,39 @@ def check_structure(
     return StructureReport(monotone, submodular, witness, violated, checks)
 
 
+def read_field(data: dict, key: str, convert, where: str):
+    """data[key] passed through convert.  A missing key, or a value that
+    convert rejects, raises ParameterError naming the key."""
+    if key not in data:
+        raise ParameterError(f"{where} lacks the key {key!r}")
+    try:
+        return convert(data[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{where} has a malformed {key!r}: {exc}") from None
+
+
 def reward_from_descriptor(desc: dict) -> RewardFunction:
     """Build a reward function from its JSON descriptor."""
     kind = desc.get("kind")
-    try:
-        if kind == "additive":
-            return Additive(desc["weights"])
-        if kind == "capped_additive":
-            return CappedAdditive(desc["weights"], desc["cap"])
-        if kind == "coverage":
-            return Coverage([e["weight"] for e in desc["elements"]], desc["covers"])
-        if kind == "explicit":
-            return ExplicitTable(desc["n"], desc["table"])
-        if kind == "symmetric_two_class":
-            return SymmetricTwoClass(desc["f_a"], desc["f_b"], desc["count_b"])
-    except KeyError as exc:
-        raise ParameterError(f"{kind} reward descriptor lacks the key {exc.args[0]!r}") from None
+    where = f"{kind} reward descriptor"
+
+    def field(key, convert=float):
+        return read_field(desc, key, convert, where)
+
+    def floats(values):
+        return np.array(values, dtype=float)
+
+    if kind == "additive":
+        return Additive(field("weights", floats))
+    if kind == "capped_additive":
+        return CappedAdditive(field("weights", floats), field("cap"))
+    if kind == "coverage":
+        return Coverage(
+            field("elements", lambda elements: [float(e["weight"]) for e in elements]),
+            field("covers", lambda covers: [[int(e) for e in cover] for cover in covers]),
+        )
+    if kind == "explicit":
+        return ExplicitTable(field("n", operator.index), field("table", floats))
+    if kind == "symmetric_two_class":
+        return SymmetricTwoClass(field("f_a"), field("f_b"), field("count_b", int))
     raise ParameterError(f"unknown reward kind: {kind!r}")

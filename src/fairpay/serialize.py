@@ -15,7 +15,7 @@ import numpy as np
 from .contracts import Contract, Instance, ModeSpec
 from .errors import ParameterError
 from .experiments import SweepSpec
-from .rewards import reward_from_descriptor
+from .rewards import as_mask, read_field, reward_from_descriptor
 from .solvers import SolveReport
 
 FILE_VERSION = "1"
@@ -38,8 +38,8 @@ def instance_from_dict(data: dict) -> Instance:
     if missing:
         raise ParameterError(f"instance file lacks the required key(s) {missing}")
     return Instance(
-        n=int(data["n"]),
-        costs=np.asarray(data["costs"], dtype=float),
+        n=read_field(data, "n", int, "instance file"),
+        costs=read_field(data, "costs", lambda c: np.asarray(c, dtype=float), "instance file"),
         reward=reward_from_descriptor(data["reward"]),
         metadata=data.get("metadata") or None,
     )
@@ -86,15 +86,13 @@ def load_result(path) -> dict:
 
 def result_contract(data: dict, n: int) -> tuple[Contract, int]:
     """Contract and member bitmask from a loaded result file."""
-    payments = np.asarray(data["payments"], dtype=float)
+    payments = read_field(data, "payments", lambda p: np.asarray(p, dtype=float), "result file")
     if payments.size != n:
         raise ParameterError(
             f"result payments have length {payments.size}, instance has n={n}"
         )
-    mask = 0
-    for i in data["set"]:
-        mask |= 1 << int(i)
-    return Contract(payments), mask
+    members = read_field(data, "set", lambda s: [int(i) for i in s], "result file")
+    return Contract(payments), as_mask(members, n)
 
 
 def mode_spec_from_dict(data: dict) -> ModeSpec:

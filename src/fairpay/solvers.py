@@ -86,6 +86,24 @@ def _better(key_a, key_b) -> bool:
     return ma < mb
 
 
+def _argbest(util, popc=None):
+    """Index of the best candidate in a utility array, or None when no
+    utility is finite (-inf marks an infeasible candidate).
+
+    Best means highest utility, then fewest members, then smallest mask;
+    index order must be mask order among candidates of equal size.  popc
+    gives each candidate's member count, or None when index order already
+    sorts by member count, so that the first maximum wins.
+    """
+    top = util.max()
+    if not np.isfinite(top):
+        return None
+    cand = np.flatnonzero(util == top)
+    if popc is not None:
+        cand = cand[popc[cand] == popc[cand].min()]
+    return int(cand[0])
+
+
 def _chunk_best(table, costs, mode, beta, lo, hi):
     """Best (utility, popcount, mask) for the requested mode and for the
     unconstrained mode over masks in [lo, hi).
@@ -155,12 +173,9 @@ def _chunk_best(table, costs, mode, beta, lo, hi):
         with np.errstate(invalid="ignore"):
             np.multiply(pay, vals, out=pay)
         np.copyto(pay, -np.inf, where=infeasible)
-        top = pay.max()
-        if not np.isfinite(top):
+        idx = _argbest(pay, popc)
+        if idx is None:
             return None
-        cand = np.flatnonzero(pay == top)
-        cand = cand[popc[cand] == popc[cand].min()]
-        idx = int(cand.min())
         return (float(pay[idx]), int(popc[idx]), lo + idx)
 
     ref = select(sum_a)
@@ -318,12 +333,15 @@ def _two_class_scan(f_a, f_b, count_b, c_a, c_b, mode, beta):
     identical agents taken, so the scan is exact; within a candidate class
     the t lowest-index identical agents realize the smallest bitmask.
     Members with a vanishing marginal get a sentinel payment above 1, which
-    the feasibility filter then rejects.
+    the feasibility filter then rejects.  The candidates are laid out as
+    (out, 0), (in, 0), (out, 1), (in, 1), ...: candidate k has (k + 1) // 2
+    members, and (a in, t) has a smaller mask than (a out, t + 1), so the
+    first maximum is the tie-break winner and only its bitmask is built.
     """
     alpha_a = c_a / f_a if f_a > MARGINAL_TOL else 2.0
     alpha_b = c_b / f_b if f_b > MARGINAL_TOL else 2.0
     t = np.arange(count_b + 1, dtype=float)
-    best = (0.0, 0, 0)
+    util = np.empty(2 * (count_b + 1))
     for a_in in (0, 1):
         if a_in:
             top = np.where(t > 0, max(alpha_a, alpha_b), alpha_a)
@@ -338,25 +356,21 @@ def _two_class_scan(f_a, f_b, count_b, c_a, c_b, mode, beta):
                 alpha_b, top / beta
             )
         value = a_in * f_a + t * f_b
-        util = np.where(top <= 1 + COMPARE_TOL, (1.0 - pay) * value, -np.inf)
-        if not a_in:
-            util[0] = 0.0  # empty set baseline
-        for tt in range(count_b + 1):
-            if not np.isfinite(util[tt]):
-                continue
-            mask = a_in | (((1 << tt) - 1) << 1)
-            key = (float(util[tt]), a_in + tt, mask)
-            if _better(key, best):
-                best = key
-    return best
+        util[a_in::2] = np.where(top <= 1 + COMPARE_TOL, (1.0 - pay) * value, -np.inf)
+    util[0] = 0.0  # empty set baseline
+    k = _argbest(util)
+    a_in, tt = k & 1, k >> 1
+    return (float(util[k]), a_in + tt, a_in | (((1 << tt) - 1) << 1))
 
 
 def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
-    """Exact optimum for two-class rewards in O(n) candidates.
+    """Exact optimum for two-class rewards over 2(n + 1) candidates.
 
     Requires a symmetric_two_class reward and identical costs for the
     identical agents; candidates are (special agent in or out) x (how
-    many identical agents), which covers every distinct utility.
+    many identical agents), which covers every distinct utility.  The
+    scan, the pricing of the winner and the reference are O(n) array
+    operations, and one n-bit mask is built per mode.
     """
     r = inst.reward
     if r.kind != "symmetric_two_class":

@@ -161,6 +161,34 @@ def test_instance_file_missing_key_exit_2(tmp_path, capsys, key):
     assert "'weights'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("weights", {"reward": {"kind": "additive", "weights": ["x", 0.4]}}),
+        ("costs", {"costs": ["cheap", 0.1]}),
+        ("n", {"n": "two"}),
+        ("cap", {"reward": {"kind": "capped_additive", "weights": [0.4, 0.4], "cap": "x"}}),
+        ("covers", {"reward": {"kind": "coverage", "elements": [{"weight": 0.5}],
+                               "covers": [["a"], [0]]}}),
+        ("f_a", {"n": 3, "costs": [0.1, 0.1, 0.1],
+                 "reward": {"kind": "symmetric_two_class", "f_a": None, "f_b": 0.1,
+                            "count_b": 2}}),
+    ],
+)
+def test_instance_file_non_numeric_value_exit_2(tmp_path, capsys, key, patch):
+    data = {
+        "version": "1", "n": 2, "costs": [0.1, 0.1],
+        "reward": {"kind": "additive", "weights": [0.4, 0.4]},
+        "metadata": {},
+        **patch,
+    }
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", inst, "--mode", "nd", "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+
+
 def test_check_structure_pass(tmp_path, capsys):
     inst = tmp_path / "cov.json"
     run(["gen", "random-coverage", "--n", 6, "--seed", 3, "--out", inst])

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpay.contracts import (
+    COMPARE_TOL,
     Contract,
     Instance,
     ModeSpec,
@@ -16,8 +19,9 @@ from fairpay.contracts import (
     optimal_contract_for_set,
 )
 from fairpay.errors import ContractLogicError, EmptySetError, ParameterError
+from fairpay.experiments import random_two_agent_instance
 from fairpay.families import gen_geometric_family, gen_random, gen_two_agent_tight
-from fairpay.rewards import Additive, CappedAdditive, Coverage
+from fairpay.rewards import Additive, CappedAdditive, Coverage, mask_to_indices
 
 
 @pytest.fixture
@@ -223,8 +227,95 @@ def test_mode_spec_validation():
     assert ModeSpec.nd().beta is None
 
 
+def test_mode_spec_rejects_nan_beta():
+    # "nan < 1" is False, so a NaN ratio once passed and poisoned every payment
+    with pytest.raises(ParameterError):
+        ModeSpec.beta_nd(math.nan)
+
+
 def test_contract_range_validation():
     with pytest.raises(ParameterError):
         Contract(np.array([0.5, 1.2]))
     with pytest.raises(ParameterError):
         Contract(np.array([-0.2, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# the array paths against the per-agent scalar versions they replaced
+
+
+def _price_per_member(inst, mask, spec):
+    """(reason or None, payments, utility): optimal_contract_for_set as it
+    priced members one indifference_payment call at a time."""
+    members = mask_to_indices(mask)
+    alphas = np.empty(len(members))
+    for k, i in enumerate(members):
+        a = indifference_payment(inst, i, mask)
+        if a is None:
+            return "zero-marginal", None, None
+        alphas[k] = a
+    top = float(alphas.max())
+    if spec.mode == "unconstrained":
+        pay = alphas
+    elif spec.mode == "nd":
+        pay = np.full(len(members), top)
+    else:
+        pay = np.maximum(alphas, top / spec.beta)
+    if pay.max() > 1 + COMPARE_TOL:
+        return "payment-above-one", None, None
+    payments = np.zeros(inst.n)
+    payments[members] = np.minimum(pay, 1.0)
+    return None, payments, float((1.0 - pay.sum()) * inst.reward.value(mask))
+
+
+def _is_equilibrium_scalar(inst, contract, mask):
+    """is_equilibrium as it compared each agent's two utilities directly."""
+    f = inst.reward
+    f_S = f.value(mask)
+    for i in range(inst.n):
+        a_i = float(contract.payments[i])
+        if (mask >> i) & 1:
+            if a_i * f_S - inst.costs[i] < a_i * f.value(mask & ~(1 << i)) - COMPARE_TOL:
+                return False
+        elif a_i * f.value(mask | (1 << i)) - inst.costs[i] > a_i * f_S + COMPARE_TOL:
+            return False
+    return True
+
+
+def _instance(kind, n, seed):
+    if kind == "explicit":
+        return random_two_agent_instance(np.random.default_rng(seed))
+    return gen_random(kind, n, seed)
+
+
+_kinds = st.sampled_from(["additive", "coverage", "capped_additive", "explicit"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=_kinds, n=st.integers(1, 10), seed=st.integers(0, 2**31), data=st.data())
+def test_optimal_contract_matches_per_member_pricing(kind, n, seed, data):
+    inst = _instance(kind, n, seed)
+    mask = data.draw(st.integers(1, (1 << inst.n) - 1))
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(1.0),
+                 ModeSpec.beta_nd(data.draw(st.floats(1.0, 1e3)))):
+        out = optimal_contract_for_set(inst, mask, spec)
+        reason, payments, utility = _price_per_member(inst, mask, spec)
+        assert out.infeasibility_reason == reason
+        if reason is None:
+            assert out.payments.payments.tobytes() == payments.tobytes()
+            assert out.utility == utility
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=_kinds, n=st.integers(1, 10), seed=st.integers(0, 2**31), data=st.data())
+def test_is_equilibrium_matches_scalar_comparison(kind, n, seed, data):
+    """Payments sit at each agent's indifference point, shifted by -1e-6,
+    0 or +1e-6, so both verdicts turn on the boundary."""
+    inst = _instance(kind, n, seed)
+    mask = data.draw(st.integers(0, (1 << inst.n) - 1))
+    marg = np.array([inst.reward.marginal(i, mask) for i in range(inst.n)])
+    point = np.divide(inst.costs, marg, out=np.zeros(inst.n), where=marg > 0)
+    shift = data.draw(st.lists(st.sampled_from([-1e-6, 0.0, 1e-6]),
+                               min_size=inst.n, max_size=inst.n))
+    contract = Contract(np.clip(point + shift, 0.0, 1.0))
+    assert is_equilibrium(inst, contract, mask) == _is_equilibrium_scalar(inst, contract, mask)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpay.errors import InvalidSubsetError, ParameterError, SizeLimitError
 from fairpay.families import gen_geometric_family, gen_random
@@ -230,3 +232,55 @@ def test_as_mask_rejects_bad_indices():
     with pytest.raises(InvalidSubsetError):
         as_mask(16, 4)
     assert as_mask([0, 3], 4) == 0b1001
+
+
+# probabilities with the boundary values drawn often, so that zero
+# marginals, saturated caps and exact ties come up
+_prob = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _scaled(weights):
+    total = sum(weights)
+    return [w / total for w in weights] if total > 1 else weights
+
+
+@st.composite
+def _rewards(draw):
+    kind = draw(st.sampled_from(
+        ["additive", "capped_additive", "coverage", "explicit", "symmetric_two_class"]
+    ))
+    n = draw(st.integers(2 if kind == "symmetric_two_class" else 1, 9))
+    if kind == "additive":
+        return Additive(_scaled(draw(st.lists(_prob, min_size=n, max_size=n))))
+    if kind == "capped_additive":
+        return CappedAdditive(draw(st.lists(_prob, min_size=n, max_size=n)), draw(_prob))
+    if kind == "coverage":
+        weights = _scaled(draw(st.lists(_prob, max_size=12)))
+        elements = st.integers(0, len(weights) - 1) if weights else st.nothing()
+        covers = draw(st.lists(st.sets(elements), min_size=n, max_size=n))
+        return Coverage(weights, covers)
+    if kind == "explicit":
+        n = min(n, 5)
+        table = draw(st.lists(_prob, min_size=1 << n, max_size=1 << n))
+        return ExplicitTable(n, [0.0] + table[1:])
+    f_b = draw(_prob) / (n - 1)
+    return SymmetricTwoClass(draw(_prob) * (1 - (n - 1) * f_b), f_b, n - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_rewards(), data=st.data())
+def test_marginals_equal_marginal_bit_for_bit(f, data):
+    mask = data.draw(st.integers(0, (1 << f.n) - 1))
+    expected = np.array([f.marginal(i, mask) for i in range(f.n)])
+    got = f.marginals(mask)
+    assert got.shape == (f.n,)
+    assert got.tobytes() == expected.tobytes()
+    assert f.marginals(mask_to_indices(mask)).tobytes() == expected.tobytes()
+
+
+def test_marginals_clip_like_value():
+    # the weights total 1 + 5e-10, so f of the full set is clipped to 1
+    for f in (Coverage([0.6, 0.4 + 5e-10], [[0, 1], [1]]), Additive([0.6, 0.4 + 5e-10])):
+        for mask in range(4):
+            expected = np.array([f.marginal(i, mask) for i in range(2)])
+            assert f.marginals(mask).tobytes() == expected.tobytes()
