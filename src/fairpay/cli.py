@@ -14,10 +14,10 @@ import os
 import sys
 import time
 
-from .contracts import ModeSpec, is_equilibrium
+from .contracts import COMPARE_TOL, ModeSpec, effort_gains, is_equilibrium
 from .errors import FairpayError
 from .experiments import build_instance, run_sweep, solve_with
-from .rewards import check_structure, mask_to_indices, reward_from_descriptor
+from .rewards import check_structure, json_object, mask_to_indices, reward_from_descriptor
 from .serialize import (
     load_instance,
     load_result,
@@ -85,7 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--beta", type=float)
     group.add_argument("--delta", type=float, help="shorthand for --beta n^delta")
     solve.add_argument("--method", choices=sorted(METHOD_FLAGS), default="brute")
-    solve.add_argument("--workers", type=int, default=_default_workers())
+    solve.add_argument(
+        "--workers",
+        type=int,
+        default=_default_workers(),
+        help="accepted for compatibility and ignored: solvers run single threaded",
+    )
 
     check = sub.add_parser("check", help="verify structure or an equilibrium")
     check.add_argument("what", choices=("structure", "equilibrium"))
@@ -97,7 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--workers", type=int, default=_default_workers())
+    sweep.add_argument(
+        "--workers",
+        type=int,
+        default=_default_workers(),
+        help="grid points solved concurrently (default: FAIRPAY_WORKERS or 1)",
+    )
 
     bound = sub.add_parser("bound", help="print guarantee numbers")
     bound.add_argument("--beta", type=float)
@@ -157,7 +167,7 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     if args.what == "structure":
         with open(args.infile) as handle:
-            data = json.load(handle)
+            data = json_object(json.load(handle), "instance file")
         if "reward" not in data:
             print("instance file lacks the required key 'reward'", file=sys.stderr)
             return 2
@@ -188,18 +198,11 @@ def cmd_check(args) -> int:
     if ok:
         print(f"pass: set {mask_to_indices(mask)} is an equilibrium")
         return 0
-    f = inst.reward
-    f_s = f.value(mask)
-    for i in range(inst.n):
-        a_i = float(contract.payments[i])
-        if (mask >> i) & 1:
-            gap = (a_i * f_s - float(inst.costs[i])) - a_i * f.value(mask & ~(1 << i))
-            if gap < -1e-9:
-                print(f"fail: member {i} prefers shirking by {-gap:.6g}")
-        else:
-            gap = (a_i * f.value(mask | (1 << i)) - float(inst.costs[i])) - a_i * f_s
-            if gap > 1e-9:
-                print(f"fail: outsider {i} prefers joining by {gap:.6g}")
+    for i, gain in enumerate(effort_gains(inst, contract, mask)):
+        if (mask >> i) & 1 and gain < -COMPARE_TOL:
+            print(f"fail: member {i} prefers shirking by {-gain:.6g}")
+        elif not (mask >> i) & 1 and gain > COMPARE_TOL:
+            print(f"fail: outsider {i} prefers joining by {gain:.6g}")
     return 1
 
 

@@ -214,21 +214,29 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
     return IncentiveOutcome(mask, Contract(payments), float(utility), True)
 
 
+def effort_gains(inst: Instance, contract: Contract, subset) -> np.ndarray:
+    """Each agent's gain from exerting with the others' actions fixed:
+    a_i m_i - c_i, with m_i = f(S + i) - f(S - i) from one marginals call.
+
+    This regrouping of a_i f(S + i) - c_i against a_i f(S - i) differs
+    from comparing the two utilities directly only by rounding (about
+    1e-16, against a COMPARE_TOL of 1e-9).
+    """
+    mask = as_mask(subset, inst.n)
+    return contract.payments * inst.reward.marginals(mask) - inst.costs
+
+
 def is_equilibrium(inst: Instance, contract: Contract, subset) -> bool:
     """True when exerting exactly S is a pure Nash equilibrium.
 
-    With m_i = f(S + i) - f(S - i) from one marginals call, agent i gains
-    a_i m_i - c_i by exerting.  Members must weakly prefer effort
-    (a_i m_i - c_i >= -tol; ties break toward effort) and non-members
-    must weakly prefer shirking (a_i m_i - c_i <= tol).  This regrouping
-    of a_i f(S) - c_i against a_i f(S - i) differs from comparing the two
-    utilities directly only by rounding (about 1e-16, against a
-    COMPARE_TOL of 1e-9).  Non-members sitting exactly on the boundary
-    are logged since the tie-break would pull them in.
+    Members must weakly prefer effort (effort_gains >= -COMPARE_TOL; ties
+    break toward effort) and non-members must weakly prefer shirking
+    (effort_gains <= COMPARE_TOL).  Non-members sitting exactly on the
+    boundary are logged since the tie-break would pull them in.
     """
     mask = as_mask(subset, inst.n)
     pay = contract.payments
-    gain = pay * inst.reward.marginals(mask) - inst.costs
+    gain = effort_gains(inst, contract, mask)
     members = mask_to_bools(mask, inst.n)
     if log.isEnabledFor(logging.DEBUG):
         for i in np.flatnonzero(~members & (np.abs(gain) <= COMPARE_TOL) & (pay > 0)):

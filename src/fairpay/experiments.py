@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contracts import Instance, ModeSpec, optimal_contract_for_set
+from .contracts import COMPARE_TOL, Instance, ModeSpec, optimal_contract_for_set
 from .errors import ParameterError, StructureError
 from .families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
 from .rewards import ExplicitTable
@@ -26,7 +26,8 @@ from .solvers import (
     BRUTE_FORCE_LIMIT,
     SolveReport,
     _argbest,
-    _better,
+    _rank,
+    _two_agent_scan,
     brute_force,
     delta_partition,
     log_partition,
@@ -98,29 +99,27 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     O(n m) array work in all; a candidate is the agents from group L's
     start up to a prefix of group j, and within a block its size and mask
     grow with the prefix, so the first maximum wins.  Only the m(m + 1)/2
-    block winners are compared, and given a bitmask, as Python ints.
+    block winners are given a bitmask, a Python int, and compared by _rank.
     """
     m, sizes, starts = _geometric_layout(inst)
     weights = inst.reward.weights
     group_w = [float(weights[starts[g]]) for g in range(m)]
     group_alpha = [float(inst.costs[starts[g]] / weights[starts[g]]) for g in range(m)]
 
-    def block_key(util, lo, start, count):
-        """(utility, size, mask) of a block's winner, where candidate k
-        takes agents lo .. start + k and count + k + 1 agents in all."""
+    def block_winner(util, lo, start):
+        """_rank key of a block's winner, where candidate k takes agents
+        lo .. start + k."""
         k = _argbest(util)
-        return (float(util[k]), count + k + 1, (1 << (start + k + 1)) - (1 << lo))
+        return _rank(float(util[k]), (1 << (start + k + 1)) - (1 << lo))
 
-    best = (0.0, 0, 0)
-    ref = (0.0, 0, 0)
+    best = ref = _rank(0.0, 0)  # the empty set
     examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
     for L in range(m):
         alpha_top = group_alpha[L]
-        if not alpha_top <= 1 + 1e-9:
+        if not alpha_top <= 1 + COMPARE_TOL:
             continue
         if spec.mode == "beta_nd":
             floor = alpha_top / spec.beta
-        run_count = 0
         run_value = 0.0
         run_pay_unc = 0.0
         run_pay_cons = 0.0
@@ -136,60 +135,41 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
             value = run_value + p * group_w[j]
             pay_unc = run_pay_unc + p * pay_j_unc
             pay = pay_unc if spec.mode == "unconstrained" else run_pay_cons + p * pay_j
-            key_ref = block_key((1.0 - pay_unc) * value, starts[L], starts[j], run_count)
-            key = block_key((1.0 - pay) * value, starts[L], starts[j], run_count)
-            if _better(key_ref, ref):
-                ref = key_ref
-            if _better(key, best):
-                best = key
-            run_count += sizes[j]
+            ref = min(ref, block_winner((1.0 - pay_unc) * value, starts[L], starts[j]))
+            best = min(best, block_winner((1.0 - pay) * value, starts[L], starts[j]))
             run_value += sizes[j] * group_w[j]
             run_pay_unc += sizes[j] * pay_j_unc
             run_pay_cons += sizes[j] * pay_j
+    # a _rank key ends with the mask
     out = optimal_contract_for_set(inst, best[2], spec)
     ref_out = optimal_contract_for_set(inst, ref[2], ModeSpec.unconstrained())
     return SolveReport(spec, out, "geometric", examined, ref_out.utility)
 
 
-def _enumerate_sets(inst: Instance, spec: ModeSpec, masks: list[int], method: str) -> SolveReport:
-    best = optimal_contract_for_set(inst, 0, spec)
-    best_key = (best.utility, 0, 0)
-    for mask in masks:
-        if mask == 0:
-            continue
-        out = optimal_contract_for_set(inst, mask, spec)
-        if out.feasible:
-            key = (out.utility, mask.bit_count(), mask)
-            if _better(key, best_key):
-                best, best_key = out, key
-    return SolveReport(spec, best, method, len(masks), None)
-
-
-def _default_base(inst: Instance, workers: int) -> int:
+def _default_base(inst: Instance) -> int:
     if inst.n <= BRUTE_FORCE_LIMIT:
-        return brute_force(inst, ModeSpec.unconstrained(), workers).best.members
+        return brute_force(inst, ModeSpec.unconstrained()).best.members
     return (1 << inst.n) - 1
 
 
 def solve_with(inst: Instance, spec: ModeSpec, method: str, workers: int = 1) -> SolveReport:
-    """Run the named solver on an instance under the given payment regime."""
+    """Run the named solver on an instance under the given payment regime.
+
+    workers is accepted for compatibility and ignored: every solver runs
+    single threaded.
+    """
     if method in ("brute", "brute_force"):
-        return brute_force(inst, spec, workers)
+        return brute_force(inst, spec)
     if method == "symmetric":
         return symmetric_solve(inst, spec)
     if method == "two_agent":
-        if inst.n != 2:
-            raise ParameterError("two_agent method requires n = 2")
-        if spec.mode == "unconstrained":
-            return _enumerate_sets(inst, spec, [0b00, 0b01, 0b10, 0b11], "two_agent")
-        beta = spec.beta if spec.mode == "beta_nd" else 1.0
-        return two_agent_solve(inst, beta)
+        return _two_agent_scan(inst, spec)
     if method == "geometric":
         return geometric_solve(inst, spec)
     if method == "log_partition":
         if spec.mode != "nd":
             raise ParameterError("log_partition solves the nd mode only")
-        part = log_partition(inst, _default_base(inst, workers))
+        part = log_partition(inst, _default_base(inst))
         return SolveReport(spec, part.best(), "log_partition", len(part.groups), None)
     if method == "delta_partition":
         if spec.mode != "beta_nd":
@@ -197,7 +177,7 @@ def solve_with(inst: Instance, spec: ModeSpec, method: str, workers: int = 1) ->
         if inst.n < 2:
             raise ParameterError("delta_partition needs n >= 2 to set delta = log(beta) / log(n)")
         delta = math.log(spec.beta) / math.log(inst.n)
-        part = delta_partition(inst, _default_base(inst, workers), delta)
+        part = delta_partition(inst, _default_base(inst), delta)
         return SolveReport(spec, part.best(), "delta_partition", len(part.groups), None)
     raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
 
@@ -216,16 +196,16 @@ def pond_ratio(
 
     methods names the (unconstrained, constrained) solvers.  A constrained
     optimum at or below tolerance marks the record degenerate instead of
-    dividing by it.
+    dividing by it.  workers is accepted for compatibility and ignored.
     """
     if spec.mode == "unconstrained":
         raise ParameterError("pond_ratio needs a constrained mode (nd or beta_nd)")
     method_opt, method_nd = methods
-    rep_nd = solve_with(inst, spec, method_nd, workers)
+    rep_nd = solve_with(inst, spec, method_nd)
     if method_opt == method_nd and rep_nd.opt_reference is not None:
         opt = rep_nd.opt_reference
     else:
-        opt = solve_with(inst, ModeSpec.unconstrained(), method_opt, workers).best.utility
+        opt = solve_with(inst, ModeSpec.unconstrained(), method_opt).best.utility
     opt_nd = rep_nd.best.utility
     degenerate = opt_nd <= DEGENERATE_TOL
     return RatioRecord(

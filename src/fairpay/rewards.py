@@ -401,6 +401,32 @@ class SymmetricTwoClass(RewardFunction):
         }
 
 
+def halves(arr: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(without, with) views of an array along one agent's bit of its last
+    axis, which is indexed by mask.
+
+    Viewed as reshape(..., -1, 2, bit), [..., 0, :] holds the masks
+    without the bit and [..., 1, :] their partners with it (the stride
+    layout of Yates' subset transform), so per-mask work runs on views,
+    with no mask or index arrays.  For the lowest bits the short axis goes
+    first, so that numpy's inner loop runs along the long one; such a view
+    is then not in mask order when flattened.
+    """
+    v = arr.reshape(*arr.shape[:-1], -1, 2, bit)
+    if bit <= 4:
+        return v[..., 0, :].swapaxes(-1, -2), v[..., 1, :].swapaxes(-1, -2)
+    return v[..., 0, :], v[..., 1, :]
+
+
+def _first_mask(hit: np.ndarray, bit: int) -> int | None:
+    """Smallest mask at which hit, a condition evaluated on the without
+    half of halves(table, bit), holds; None if it holds nowhere."""
+    if not hit.any():
+        return None
+    masks = halves(np.arange(2 * hit.size), bit)[0]
+    return int(masks[hit].min())
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Outcome of a monotonicity/submodularity check.
@@ -408,7 +434,9 @@ class StructureReport:
     witness is an (S, T, i) triple of bitmasks/index such that either
     f(T) < f(S) with T = S + i (monotonicity) or f(i | T) > f(i | S) with
     T = S + j (submodularity); violated names which.  checks counts the
-    conditions evaluated, so sampling mode reports its coverage.
+    conditions evaluated: the exhaustive check evaluates all
+    n(n + 1) 2^(n-2) of them, even on a table that violates both
+    properties, and sampling mode reports its coverage.
     """
 
     monotone: bool
@@ -426,16 +454,47 @@ def check_structure(
 ) -> StructureReport:
     """Verify monotonicity and submodularity of a reward function.
 
-    Up to exhaustive_limit agents every condition is enumerated:
-    monotonicity as f(S + i) >= f(S) for all S and i not in S, and
-    submodularity in its pairwise form f(i | S + j) <= f(i | S) for all S
-    and distinct i, j outside S (equivalent to the nested-sets form).
+    Up to exhaustive_limit agents every condition is evaluated on the
+    dense table: monotonicity as f(S + i) >= f(S) for all S and i not in
+    S, and submodularity in its pairwise form f(i | S + j) <= f(i | S) for
+    all S and distinct i, j outside S (equivalent to the nested-sets
+    form).  Agent i's monotonicity compares the two halves of the table
+    along bit i.  Every agent's gains f(S + i) - f(S) form one array,
+    NaN (so never a violation) where S holds i, and its two halves along
+    bit j hold the submodularity conditions of every pair (i, j).  The
+    witness is the first violation in the order S, then i (monotonicity)
+    or (min(i, j), max(i, j), i > j) (submodularity).
     Above the limit a seeded random sample of conditions is checked and
     the number of checks is reported.
     """
     n = f.n
-    exhaustive = n <= exhaustive_limit
-    if not exhaustive:
+    mono = sub = None
+    if n <= exhaustive_limit:
+        table = f.value_table()
+        gains = np.full((n, table.size), np.nan)
+        found_mono, found_sub = [], []
+        for i in range(n):
+            without, with_i = halves(table, 1 << i)
+            halves(gains[i], 1 << i)[0][...] = with_i - without
+            mask = _first_mask(with_i < without - STRUCT_TOL, 1 << i)
+            if mask is not None:
+                found_mono.append((mask, i))
+        for j in range(n):
+            small, large = halves(gains, 1 << j)
+            hit = large > small + STRUCT_TOL
+            if not hit.any():
+                continue
+            for i in np.flatnonzero(hit.any(axis=(-2, -1))).tolist():
+                mask = _first_mask(hit[i], 1 << j)
+                found_sub.append((mask, min(i, j), max(i, j), i > j, i, j))
+        if found_mono:
+            mask, i = min(found_mono)
+            mono = (mask, mask | 1 << i, i)
+        if found_sub:
+            mask, *_, i, j = min(found_sub)
+            sub = (mask, mask | 1 << j, i)
+        checks = (n * (n + 1) << n) >> 2
+    else:
         if samples is None:
             raise SizeLimitError(
                 f"n={n} exceeds the exhaustive limit {exhaustive_limit}; "
@@ -443,54 +502,36 @@ def check_structure(
             )
         if seed is None:
             raise ParameterError("sampling mode requires an explicit seed")
+        checks = 0
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            bits = rng.random(n) < rng.random()
+            i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+            bits[i] = bits[j] = False
+            mask = as_mask(np.flatnonzero(bits), n)
+            with_i, with_j = mask | 1 << i, mask | 1 << j
+            checks += 1
+            if mono is None and f.value(with_i) < f.value(mask) - STRUCT_TOL:
+                mono = (mask, with_i, i)
+                if sub is not None:
+                    break
+            checks += 1
+            gain_small = f.value(with_i) - f.value(mask)
+            gain_large = f.value(with_j | 1 << i) - f.value(with_j)
+            if sub is None and gain_large > gain_small + STRUCT_TOL:
+                sub = (mask, with_j, i)
+            if mono is not None and sub is not None:
+                break
 
-    checks = 0
-    mono_witness = None
-    sub_witness = None
+    violated = "monotone" if mono else ("submodular" if sub else None)
+    return StructureReport(mono is None, sub is None, mono or sub, violated, checks)
 
-    def conditions():
-        if exhaustive:
-            table = f.value_table()
-            for mask in range(1 << n):
-                outside = [i for i in range(n) if not (mask >> i) & 1]
-                for a, i in enumerate(outside):
-                    yield table, mask, i, None
-                    for j in outside[a + 1 :]:
-                        yield table, mask, i, j
-                        yield table, mask, j, i
-        else:
-            rng = np.random.default_rng(seed)
-            for _ in range(samples):
-                bits = rng.random(n) < rng.random()
-                i, j = rng.choice(n, size=2, replace=False)
-                bits[i] = bits[j] = False
-                mask = as_mask(np.flatnonzero(bits), n)
-                yield None, mask, int(i), None
-                yield None, mask, int(i), int(j)
 
-    def val(table, mask):
-        return table[mask] if table is not None else f.value(mask)
-
-    for table, mask, i, j in conditions():
-        checks += 1
-        with_i = mask | (1 << i)
-        if j is None:
-            if mono_witness is None and val(table, with_i) < val(table, mask) - STRUCT_TOL:
-                mono_witness = (mask, with_i, i)
-        else:
-            with_j = mask | (1 << j)
-            gain_small = val(table, with_i) - val(table, mask)
-            gain_large = val(table, with_j | (1 << i)) - val(table, with_j)
-            if sub_witness is None and gain_large > gain_small + STRUCT_TOL:
-                sub_witness = (mask, with_j, i)
-        if mono_witness is not None and sub_witness is not None:
-            break
-
-    monotone = mono_witness is None
-    submodular = sub_witness is None
-    witness = mono_witness if not monotone else sub_witness
-    violated = "monotone" if not monotone else ("submodular" if not submodular else None)
-    return StructureReport(monotone, submodular, witness, violated, checks)
+def json_object(data, where: str) -> dict:
+    """data itself when it is a JSON object; ParameterError otherwise."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def read_field(data: dict, key: str, convert, where: str):
@@ -506,7 +547,7 @@ def read_field(data: dict, key: str, convert, where: str):
 
 def reward_from_descriptor(desc: dict) -> RewardFunction:
     """Build a reward function from its JSON descriptor."""
-    kind = desc.get("kind")
+    kind = json_object(desc, "reward descriptor").get("kind")
     where = f"{kind} reward descriptor"
 
     def field(key, convert=float):

@@ -15,7 +15,7 @@ import numpy as np
 from .contracts import Contract, Instance, ModeSpec
 from .errors import ParameterError
 from .experiments import SweepSpec
-from .rewards import as_mask, read_field, reward_from_descriptor
+from .rewards import as_mask, json_object, read_field, reward_from_descriptor
 from .solvers import SolveReport
 
 FILE_VERSION = "1"
@@ -32,7 +32,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    if data.get("version") != FILE_VERSION:
+    if json_object(data, "instance file").get("version") != FILE_VERSION:
         raise ParameterError(f"unsupported instance file version {data.get('version')!r}")
     missing = [key for key in ("n", "costs", "reward") if key not in data]
     if missing:
@@ -78,7 +78,7 @@ def save_report(report: SolveReport, path, timing_ms: float | None = None) -> No
 
 def load_result(path) -> dict:
     with open(path) as handle:
-        data = json.load(handle)
+        data = json_object(json.load(handle), "result file")
     if data.get("version") != FILE_VERSION:
         raise ParameterError(f"unsupported result file version {data.get('version')!r}")
     return data

@@ -1,24 +1,22 @@
 """Optimizers over incentive sets.
 
-brute_force enumerates every subset, vectorized over the dense value
-table: agent i's marginals are the difference of the two halves of the
-table viewed as reshape(-1, 2, 2^i), so the kernel builds no mask or index
-arrays.  The range may be split into aligned power-of-two blocks scanned
-in parallel threads, merged with a deterministic reduction.
+brute_force enumerates every subset in one single-threaded pass over the
+dense value table: agent i's marginals are the difference of the two
+halves of the table viewed as reshape(-1, 2, 2^i) (rewards.halves), so
+the kernel builds no mask or index arrays.
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
 fraction of the base utility.  symmetric_solve and two_agent_solve are
 exact structure-exploiting fast paths.
 
 Ties between maximizing sets are always broken toward smaller
-cardinality, then smaller bitmask, so results are independent of
-enumeration order and worker count.
+cardinality, then smaller bitmask (_rank), so results are independent of
+enumeration order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ from .contracts import (
     optimal_contract_for_set,
 )
 from .errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from .rewards import as_mask, mask_to_indices
+from .rewards import as_mask, halves, mask_to_indices
 
 BRUTE_FORCE_LIMIT = 22
 
@@ -69,31 +67,23 @@ class PartitionResult:
         n = max(o.payments.payments.size for o in self.per_group) if self.per_group else 1
         floor = IncentiveOutcome(0, Contract(np.zeros(n)), 0.0, True)
         candidates = [o for o in self.per_group if o.feasible] + [floor]
-        return max(
-            candidates,
-            key=lambda o: (o.utility, -o.members.bit_count(), -o.members),
-        )
+        return min(candidates, key=lambda o: _rank(o.utility, o.members))
 
 
-def _better(key_a, key_b) -> bool:
-    """Lexicographic tie-break: higher utility, fewer members, smaller mask."""
-    ua, pa, ma = key_a
-    ub, pb, mb = key_b
-    if ua != ub:
-        return ua > ub
-    if pa != pb:
-        return pa < pb
-    return ma < mb
+def _rank(utility: float, mask: int) -> tuple:
+    """Sort key of a candidate set, smaller is better: highest utility,
+    then fewest members, then smallest mask."""
+    return (-utility, mask.bit_count(), mask)
 
 
 def _argbest(util, popc=None):
     """Index of the best candidate in a utility array, or None when no
     utility is finite (-inf marks an infeasible candidate).
 
-    Best means highest utility, then fewest members, then smallest mask;
-    index order must be mask order among candidates of equal size.  popc
-    gives each candidate's member count, or None when index order already
-    sorts by member count, so that the first maximum wins.
+    Best is as _rank orders it; index order must be mask order among
+    candidates of equal size.  popc gives each candidate's member count,
+    or None when index order already sorts by member count, so that the
+    first maximum wins.
     """
     top = util.max()
     if not np.isfinite(top):
@@ -104,63 +94,38 @@ def _argbest(util, popc=None):
     return int(cand[0])
 
 
-def _chunk_best(table, costs, mode, beta, lo, hi):
-    """Best (utility, popcount, mask) for the requested mode and for the
-    unconstrained mode over masks in [lo, hi).
+def _table_best(table, costs, mode, beta):
+    """Best masks for the requested mode and for the unconstrained mode,
+    scanning every subset of the dense value table.
 
-    [lo, hi) must be an aligned power-of-two block.  For an agent i whose
-    bit varies inside the block, the block viewed as reshape(-1, 2, 2^i)
-    holds the masks without i in [:, 0, :] and their partners with i in
-    [:, 1, :] (the stride layout of Yates' fast subset transform), so the
-    marginal is the difference of the two halves and every per-mask array
-    is updated in place through the same view; no mask or index array is
-    built.  An agent whose bit is fixed across the block is either in
-    every mask, with marginal vals - table[lo ^ 2^i : ...], or in none.
+    Agent i's marginals are the difference of the table's two halves
+    along bit i (see halves), and every per-mask array is updated in
+    place through the same views.
     """
-    size = hi - lo
-    vals = table[lo:hi]
+    size = table.size
     max_a = np.zeros(size)
     sum_a = np.zeros(size)
-    # lo has no bits below size, so popcount(lo + k) = popcount(lo) + popcount(k)
-    popc = np.full(1, lo.bit_count(), dtype=np.uint8)
+    popc = np.zeros(1, dtype=np.uint8)
     while popc.size < size:
         popc = np.concatenate([popc, popc + 1])
-    a_buf = np.empty(size)
-    bad_buf = np.empty(size, dtype=bool)
-
-    def halves(arr, bit):
-        # (without, with) views; for the lowest bits the short axis goes
-        # first so that numpy's inner loop runs along the long one
-        v = arr.reshape(-1, 2, bit)
-        if bit <= 4:
-            return v[:, 0, :].T, v[:, 1, :].T
-        return v[:, 0, :], v[:, 1, :]
-
-    def members(arr, i):
-        bit = 1 << i
-        return halves(arr, bit)[1] if bit < size else arr
+    a_buf = np.empty(size // 2)
+    bad_buf = np.empty(size // 2, dtype=bool)
 
     def alphas(i):
         """Indifference payments of agent i in each mask that contains it
-        (inf where the marginal vanishes), in a_buf shaped like members()."""
-        bit = 1 << i
-        if bit < size:
-            without, with_i = halves(vals, bit)
-            a = a_buf[: size // 2].reshape(without.shape)
-            bad = bad_buf[: size // 2].reshape(without.shape)
-        else:
-            without, with_i = table[lo ^ bit : (lo ^ bit) + size], vals
-            a, bad = a_buf, bad_buf
+        (inf where the marginal vanishes), in a_buf shaped like its half."""
+        without, with_i = halves(table, 1 << i)
+        a = a_buf.reshape(without.shape)
+        bad = bad_buf.reshape(without.shape)
         np.subtract(with_i, without, out=a)
         np.less_equal(a, MARGINAL_TOL, out=bad)
         np.copyto(a, 0.0, where=bad)
         with np.errstate(divide="ignore"):
             return np.divide(costs[i], a, out=a)
 
-    agents = [i for i in range(costs.size) if (1 << i) < size or (lo >> i) & 1]
-    for i in agents:
+    for i in range(costs.size):
         a = alphas(i)
-        top, total = members(max_a, i), members(sum_a, i)
+        top, total = halves(max_a, 1 << i)[1], halves(sum_a, 1 << i)[1]
         np.maximum(top, a, out=top)
         total += a
     # a set is feasible iff every member's payment is at most 1, i.e. iff
@@ -168,15 +133,13 @@ def _chunk_best(table, costs, mode, beta, lo, hi):
     infeasible = max_a > 1 + COMPARE_TOL
 
     def select(pay):
-        """Reduce a payment vector, overwriting it with the utilities."""
+        """Reduce a payment vector, overwriting it with the utilities.
+        The empty set is always feasible, with utility 0."""
         np.subtract(1.0, pay, out=pay)
         with np.errstate(invalid="ignore"):
-            np.multiply(pay, vals, out=pay)
+            np.multiply(pay, table, out=pay)
         np.copyto(pay, -np.inf, where=infeasible)
-        idx = _argbest(pay, popc)
-        if idx is None:
-            return None
-        return (float(pay[idx]), int(popc[idx]), lo + idx)
+        return _argbest(pay, popc)
 
     ref = select(sum_a)
     if mode == "unconstrained":
@@ -185,10 +148,10 @@ def _chunk_best(table, costs, mode, beta, lo, hi):
         return select(np.multiply(popc, max_a, out=max_a)), ref
     floor = np.divide(max_a, beta, out=max_a)
     pay = np.zeros(size)
-    for i in agents:
+    for i in range(costs.size):
         a = alphas(i)
-        np.maximum(a, members(floor, i), out=a)
-        total = members(pay, i)
+        np.maximum(a, halves(floor, 1 << i)[1], out=a)
+        total = halves(pay, 1 << i)[1]
         total += a
     return select(pay), ref
 
@@ -199,14 +162,11 @@ def brute_force(
     workers: int = 1,
     limit: int = BRUTE_FORCE_LIMIT,
 ) -> SolveReport:
-    """Exact optimum by scanning all 2^n subsets.
+    """Exact optimum by scanning all 2^n subsets in one vectorized pass.
 
-    The subset range is split into equal aligned blocks, as many as the
-    largest power of two not above min(workers, 2^n), scanned in parallel
-    threads; block winners are merged with the deterministic tie-break and
-    every per-subset figure is computed the same way in any block, so the
-    result never depends on the worker count.  The unconstrained optimum
-    is computed alongside and reported as opt_reference.
+    workers is accepted for compatibility and ignored: the scan is single
+    threaded.  The unconstrained optimum is computed alongside and
+    reported as opt_reference.
     """
     n = inst.n
     if n > limit:
@@ -214,35 +174,10 @@ def brute_force(
             f"brute force over 2^{n} subsets exceeds the limit ({limit}); "
             "use the symmetric or partition methods"
         )
-    table = inst.reward.value_table()
-    costs = inst.costs
-    total = 1 << n
-    chunks = 1 << (min(max(1, int(workers)), total).bit_length() - 1)
-    size = total // chunks
-    ranges = [(lo, lo + size) for lo in range(0, total, size)]
-
-    if len(ranges) == 1:
-        results = [_chunk_best(table, costs, spec.mode, spec.beta, *ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(
-                pool.map(
-                    lambda r: _chunk_best(table, costs, spec.mode, spec.beta, *r),
-                    ranges,
-                )
-            )
-
-    best_key = (0.0, 0, 0)
-    ref_key = (0.0, 0, 0)
-    for key, ref in results:
-        if key is not None and _better(key, best_key):
-            best_key = key
-        if ref is not None and _better(ref, ref_key):
-            ref_key = ref
-
-    best = optimal_contract_for_set(inst, best_key[2], spec)
-    ref_out = optimal_contract_for_set(inst, ref_key[2], ModeSpec.unconstrained())
-    return SolveReport(spec, best, "brute_force", total, ref_out.utility)
+    best, ref = _table_best(inst.reward.value_table(), inst.costs, spec.mode, spec.beta)
+    out = optimal_contract_for_set(inst, best, spec)
+    ref_out = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained())
+    return SolveReport(spec, out, "brute_force", 1 << n, ref_out.utility)
 
 
 def _base_alphas(inst: Instance, base) -> tuple[int, dict[int, float]]:
@@ -396,6 +331,19 @@ def two_agent_bound(beta: float) -> float:
     return 1.0 + 1.0 / math.sqrt(beta + 1.0)
 
 
+def _two_agent_scan(inst: Instance, spec: ModeSpec) -> SolveReport:
+    """Exact two-agent optimum under any payment regime: the four sets
+    are priced under spec, and the unconstrained optimum over them is
+    recorded as opt_reference."""
+    if inst.n != 2:
+        raise SizeLimitError(f"the two-agent solver requires exactly 2 agents, got {inst.n}")
+    outs = [optimal_contract_for_set(inst, mask, spec) for mask in range(4)]
+    refs = [optimal_contract_for_set(inst, mask, ModeSpec.unconstrained()) for mask in range(4)]
+    best = min((o for o in outs if o.feasible), key=lambda o: _rank(o.utility, o.members))
+    ref = max(o.utility for o in refs if o.feasible)
+    return SolveReport(spec, best, "two_agent", 4, ref)
+
+
 def two_agent_solve(inst: Instance, beta: float) -> SolveReport:
     """Exact two-agent optimum under the beta wage-ratio constraint.
 
@@ -403,19 +351,4 @@ def two_agent_solve(inst: Instance, beta: float) -> SolveReport:
     the unconstrained optimum over the same candidates is recorded as
     opt_reference.
     """
-    if inst.n != 2:
-        raise SizeLimitError(f"two_agent_solve requires exactly 2 agents, got {inst.n}")
-    spec = ModeSpec.beta_nd(float(beta))
-    best = None
-    best_key = None
-    ref = 0.0
-    for mask in (0b00, 0b01, 0b10, 0b11):
-        out = optimal_contract_for_set(inst, mask, spec)
-        if out.feasible:
-            key = (out.utility, mask.bit_count(), mask)
-            if best_key is None or _better(key, best_key):
-                best, best_key = out, key
-        unc = optimal_contract_for_set(inst, mask, ModeSpec.unconstrained())
-        if unc.feasible:
-            ref = max(ref, unc.utility)
-    return SolveReport(spec, best, "two_agent", 4, ref)
+    return _two_agent_scan(inst, ModeSpec.beta_nd(float(beta)))

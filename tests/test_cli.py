@@ -131,6 +131,23 @@ def test_solve_degenerate_exit_3(tmp_path):
                 "--out", tmp_path / "r.json"]) == 3
 
 
+@pytest.mark.parametrize("mode", ["unconstrained", "nd"])
+def test_solve_two_agent_keeps_the_requested_mode(tmp_path, mode):
+    inst = tmp_path / "t.json"
+    run(["gen", "tight2", "--beta", 3, "--epsilon", "1e-6", "--out", inst])
+    results = {}
+    for method in ("two-agent", "brute"):
+        out = tmp_path / f"{method}.json"
+        assert run(["solve", "--in", inst, "--mode", mode, "--method", method,
+                    "--out", out]) == 0
+        results[method] = json.loads(out.read_text())
+    two, brute = results["two-agent"], results["brute"]
+    assert two["spec"] == {"mode": mode, "beta": None}
+    assert (two["set"], two["utility"], two["payments"]) == (
+        brute["set"], brute["utility"], brute["payments"])
+    assert two["opt_reference"] == brute["opt_reference"]
+
+
 def test_solve_delta_partition_single_agent_exit_2(tmp_path, capsys):
     inst = tmp_path / "one.json"
     assert run(["gen", "random-additive", "--n", 1, "--seed", 3, "--out", inst]) == 0
@@ -189,6 +206,35 @@ def test_instance_file_non_numeric_value_exit_2(tmp_path, capsys, key, patch):
     assert repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"version": "1", "n": 2, "costs": [0.1, 0.1], "reward": "additive"},
+        {"version": "1", "n": 2, "costs": [0.1, 0.1], "reward": [0.4, 0.4]},
+        [{"version": "1", "n": 2}],
+        "instance",
+    ],
+)
+def test_non_object_json_exit_2(tmp_path, capsys, data):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(data))
+    for argv in (["solve", "--in", inst, "--mode", "nd", "--out", tmp_path / "r.json"],
+                 ["check", "structure", "--in", inst]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be a JSON object" in err and "Traceback" not in err
+        assert "lacks" not in err
+
+
+def test_non_object_result_file_exit_2(tmp_path, capsys):
+    inst = _gen_geo(tmp_path)
+    res = tmp_path / "r.json"
+    res.write_text(json.dumps([{"version": "1", "set": [0]}]))
+    assert run(["check", "equilibrium", "--in", inst, "--result", res]) == 2
+    err = capsys.readouterr().err
+    assert "result file must be a JSON object" in err and "Traceback" not in err
+
+
 def test_check_structure_pass(tmp_path, capsys):
     inst = tmp_path / "cov.json"
     run(["gen", "random-coverage", "--n", 6, "--seed", 3, "--out", inst])
@@ -231,6 +277,30 @@ def test_check_equilibrium_detects_violation(tmp_path, capsys):
     res.write_text(json.dumps(data))
     assert run(["check", "equilibrium", "--in", inst, "--result", res]) == 1
     assert "prefers shirking" in capsys.readouterr().out
+
+
+def test_check_equilibrium_report_uses_the_equilibrium_gains(tmp_path, capsys):
+    from fairpay.contracts import COMPARE_TOL, Contract, effort_gains
+    from fairpay.serialize import load_instance
+
+    inst_path = tmp_path / "add.json"
+    run(["gen", "random-additive", "--n", 5, "--seed", 3, "--out", inst_path])
+    inst = load_instance(inst_path)
+    mask = 0b11
+    marginals = inst.reward.marginals(mask)
+    # each agent's gain from effort sits just inside or just beyond the
+    # tolerance: members 0 and 1 fall short, outsiders 2 and 3 gain
+    pay = [0.0] * inst.n
+    for i, gain in ((0, -0.5), (1, -2.0), (2, 2.0), (3, 0.5)):
+        pay[i] = (inst.costs[i] + gain * COMPARE_TOL) / marginals[i]
+    res = tmp_path / "r.json"
+    res.write_text(json.dumps({"version": "1", "set": [0, 1], "payments": pay}))
+    capsys.readouterr()
+    assert run(["check", "equilibrium", "--in", inst_path, "--result", res]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    gains = effort_gains(inst, Contract(pay), mask)
+    assert abs(gains[:4] / COMPARE_TOL - [-0.5, -2.0, 2.0, 0.5]).max() < 1e-3
+    assert [int(line.split()[2]) for line in lines] == [1, 2]
 
 
 def test_check_equilibrium_needs_result(tmp_path):

@@ -284,3 +284,78 @@ def test_marginals_clip_like_value():
         for mask in range(4):
             expected = np.array([f.marginal(i, mask) for i in range(2)])
             assert f.marginals(mask).tobytes() == expected.tobytes()
+
+
+def _check_structure_loop(f):
+    """The per-condition exhaustive check that the strided one replaced,
+    kept as a reference: (monotone, submodular, witness, violated, checks)."""
+    n = f.n
+    table = f.value_table()
+    checks = 0
+    mono_witness = None
+    sub_witness = None
+
+    def conditions():
+        for mask in range(1 << n):
+            outside = [i for i in range(n) if not (mask >> i) & 1]
+            for a, i in enumerate(outside):
+                yield mask, i, None
+                for j in outside[a + 1 :]:
+                    yield mask, i, j
+                    yield mask, j, i
+
+    for mask, i, j in conditions():
+        checks += 1
+        with_i = mask | (1 << i)
+        if j is None:
+            if mono_witness is None and table[with_i] < table[mask] - STRUCT_TOL:
+                mono_witness = (mask, with_i, i)
+        else:
+            with_j = mask | (1 << j)
+            gain_small = table[with_i] - table[mask]
+            gain_large = table[with_j | (1 << i)] - table[with_j]
+            if sub_witness is None and gain_large > gain_small + STRUCT_TOL:
+                sub_witness = (mask, with_j, i)
+        if mono_witness is not None and sub_witness is not None:
+            break
+
+    monotone = mono_witness is None
+    submodular = sub_witness is None
+    witness = mono_witness if not monotone else sub_witness
+    violated = "monotone" if not monotone else ("submodular" if not submodular else None)
+    return monotone, submodular, witness, violated, checks
+
+
+@st.composite
+def _explicit_tables(draw):
+    """Uniform random tables, coverage tables with a few entries nudged
+    (some by about STRUCT_TOL), and squared additive (supermodular) ones."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "perturbed coverage", "squared additive"]))
+    if shape == "uniform":
+        table = rng.random(1 << n)
+    elif shape == "perturbed coverage":
+        table = gen_random("coverage", n, seed=int(rng.integers(1 << 30))).reward.value_table()
+        at = rng.integers(1, 1 << n, size=draw(st.integers(0, 3)))
+        nudges = [1e-12, -1e-12, 3e-12, -3e-12, 1e-4, -1e-4, 0.05, -0.05]
+        table[at] += rng.choice(nudges, size=at.size)
+    else:
+        w = rng.uniform(0.1, 1.0, n)
+        table = np.minimum(Additive(w / w.sum()).value_table() ** 2, 1.0)
+    table = np.clip(table, 0.0, 1.0)
+    table[0] = 0.0
+    return ExplicitTable(n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_explicit_tables())
+def test_check_structure_matches_per_condition_loop(f):
+    monotone, submodular, witness, violated, checks = _check_structure_loop(f)
+    report = check_structure(f)
+    assert (report.monotone, report.submodular) == (monotone, submodular)
+    assert report.witness == witness
+    assert report.violated == violated
+    if monotone or submodular:
+        # the loop stopped early only once it had found both violations
+        assert report.checks == checks == f.n * (f.n + 1) * 2**f.n // 4

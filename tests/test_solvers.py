@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpay.contracts import Instance, ModeSpec, optimal_contract_for_set
 from fairpay.errors import EmptySetError, ParameterError, SizeLimitError, StructureError
+from fairpay.experiments import solve_with
 from fairpay.families import (
     gen_geometric_family,
     gen_random,
@@ -58,9 +61,9 @@ def test_brute_force_size_limit():
 
 
 def test_brute_force_worker_independence():
-    # n = 12 with up to 4 blocks of 2^10 subsets: agents 10 and 11 keep one
-    # bit value across a block, which the kernel handles apart; the last
-    # three instances have winners that contain agent 11 or both
+    # workers is accepted and ignored: the scan is one single-threaded
+    # pass, so every worker count must give the same report.  The last
+    # three instances have winners that contain agent 11 or both 10 and 11
     instances = [gen_random("coverage", 12, seed=seed) for seed in (1, 6, 7)]
     instances.append(gen_random("additive", 12, seed=3))
     for inst in instances:
@@ -70,6 +73,30 @@ def test_brute_force_worker_independence():
             assert len({r.best.utility for r in reports}) == 1
             assert len({r.best.payments.payments.tobytes() for r in reports}) == 1
             assert len({r.opt_reference for r in reports}) == 1
+
+
+def _report_bytes(rep):
+    best = rep.best
+    return (
+        best.members,
+        np.float64(best.utility).tobytes(),
+        best.payments.payments.tobytes(),
+        np.float64(rep.opt_reference).tobytes(),
+        rep.candidates_examined,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "coverage", "capped_additive"]),
+    n=st.integers(1, 11),
+    seed=st.integers(0, 10_000),
+    spec=st.sampled_from([ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.5)]),
+)
+def test_brute_force_reports_are_byte_identical_for_any_workers(kind, n, seed, spec):
+    inst = gen_random(kind, n, seed=seed)
+    reports = {_report_bytes(brute_force(inst, spec, workers=w)) for w in (1, 2, 3, 7)}
+    assert len(reports) == 1
 
 
 def test_brute_force_matches_per_set_engine_scan():
@@ -358,6 +385,17 @@ def test_two_agent_solve_matches_brute_force():
             slow = brute_force(inst, ModeSpec.beta_nd(beta))
             assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12)
             assert fast.opt_reference == pytest.approx(slow.opt_reference, abs=1e-12)
+
+
+def test_two_agent_tie_goes_to_the_smaller_mask():
+    # the singletons tie and the pair is unaffordable: agent 0 alone wins,
+    # as it does in brute force
+    inst = Instance(2, [0.1, 0.1], ExplicitTable(2, [0.0, 0.5, 0.5, 0.6]))
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+        rep = solve_with(inst, spec, "two_agent")
+        assert rep.best.members == brute_force(inst, spec).best.members == 0b01
+        assert rep.spec == spec
+    assert two_agent_solve(inst, 2.0).best.members == 0b01
 
 
 def test_two_agent_solve_requires_two_agents():

@@ -2,7 +2,8 @@
 per-candidate loops they replaced, and the large-n scaling gate.
 
 The two loop versions below are kept as references: each builds every
-candidate's bitmask as a Python int and folds it in with _better.  The
+candidate's bitmask as a Python int and folds it in with _better, the
+pairwise comparison the solvers used before their one sort key.  The
 array versions must pick the same winners, so every report matches
 exactly: members, utility, payment bytes, opt_reference and
 candidates_examined.
@@ -26,9 +27,20 @@ from fairpay.contracts import (
 from fairpay.experiments import _geometric_layout, geometric_solve
 from fairpay.families import gen_geometric_family, gen_two_class
 from fairpay.rewards import SymmetricTwoClass
-from fairpay.solvers import SolveReport, _better, _two_class_scan, symmetric_solve
+from fairpay.solvers import SolveReport, _two_class_scan, symmetric_solve
 
 R2 = math.sqrt(2.0)
+
+
+def _better(key_a, key_b) -> bool:
+    """Lexicographic tie-break: higher utility, fewer members, smaller mask."""
+    ua, pa, ma = key_a
+    ub, pb, mb = key_b
+    if ua != ub:
+        return ua > ub
+    if pa != pb:
+        return pa < pb
+    return ma < mb
 
 
 def _two_class_scan_loop(f_a, f_b, count_b, c_a, c_b, mode, beta):
