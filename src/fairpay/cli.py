@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -48,13 +47,6 @@ METHOD_FLAGS = {
 }
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FAIRPAY_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairpay",
@@ -88,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--workers",
         type=int,
-        default=_default_workers(),
+        default=1,
         help="accepted for compatibility and ignored: solvers run single threaded",
     )
 
@@ -105,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers",
         type=int,
-        default=_default_workers(),
-        help="grid points solved concurrently (default: FAIRPAY_WORKERS or 1)",
+        default=1,
+        help="accepted for compatibility and ignored: grid points run one after another",
     )
 
     bound = sub.add_parser("bound", help="print guarantee numbers")

@@ -152,19 +152,26 @@ def indifference_payment(inst: Instance, i: int, subset) -> float | None:
     return float(inst.costs[i]) / marg
 
 
+def _indifference_payments(inst: Instance, mask: int):
+    """Members of a nonempty set as a boolean vector, and their
+    indifference payments costs[S] / marginals(S)[S] in index order, bit
+    for bit indifference_payment; the payments are None when a member's
+    marginal vanishes."""
+    members = mask_to_bools(mask, inst.n)
+    marg = inst.reward.marginals(mask)[members]
+    if marg.min() <= MARGINAL_TOL:
+        return members, None
+    return members, inst.costs[members] / marg
+
+
 def group_payment_nd(inst: Instance, subset) -> float | None:
     """Uniform payment needed to incentivize all of S: the largest member
     indifference payment.  None if any member cannot be incentivized."""
     mask = as_mask(subset, inst.n)
     if mask == 0:
         raise EmptySetError("the uniform payment of the empty set is undefined")
-    top = 0.0
-    for i in mask_to_indices(mask):
-        a = indifference_payment(inst, i, mask)
-        if a is None:
-            return None
-        top = max(top, a)
-    return top
+    alphas = _indifference_payments(inst, mask)[1]
+    return None if alphas is None else float(alphas.max())
 
 
 def _empty_outcome(n: int) -> IncentiveOutcome:
@@ -191,11 +198,9 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
     if mask == 0:
         return _empty_outcome(n)
 
-    members = mask_to_bools(mask, n)
-    marg = inst.reward.marginals(mask)[members]
-    if marg.min() <= MARGINAL_TOL:
+    members, alphas = _indifference_payments(inst, mask)
+    if alphas is None:
         return _infeasible(n, mask, "zero-marginal")
-    alphas = inst.costs[members] / marg
 
     # every mode pays the top member exactly top (top / beta <= top)
     top = float(alphas.max())

@@ -13,20 +13,19 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contracts import COMPARE_TOL, Instance, ModeSpec, optimal_contract_for_set
+from .contracts import Instance, ModeSpec
+from .contracts import optimal_contract_for_set  # noqa: F401 - bench/tracing.py wraps this name
 from .errors import ParameterError, StructureError
 from .families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
 from .rewards import ExplicitTable
 from .solvers import (
     BRUTE_FORCE_LIMIT,
     SolveReport,
-    _argbest,
-    _rank,
+    _class_solve,
     _two_agent_scan,
     brute_force,
     delta_partition,
@@ -76,74 +75,33 @@ class RatioRecord:
 METHODS = ("brute", "symmetric", "two_agent", "log_partition", "delta_partition", "geometric")
 
 
-def _geometric_layout(inst: Instance):
-    meta = inst.metadata or {}
-    if meta.get("family") != "geometric" or inst.reward.kind != "additive":
-        raise StructureError(
-            "structured geometric solving needs a geometric-family instance"
-        )
-    m = int(meta["m"])
-    sizes = [1 << k for k in range(m)]
-    starts = np.concatenate([[0], np.cumsum(sizes)])[:-1].astype(int)
-    return m, sizes, starts.tolist()
-
-
 def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     """Structured search for geometric-family instances at any size.
 
-    Candidate sets are unions of consecutive whole groups plus a prefix of
-    the next group (agents within a group are interchangeable, and lower
-    groups dominate higher ones per unit of payment), which brute force
-    confirms is where the optimum lives for small m.  The n m candidates
-    are evaluated as one array per (first group L, last group j) block,
-    O(n m) array work in all; a candidate is the agents from group L's
-    start up to a prefix of group j, and within a block its size and mask
-    grow with the prefix, so the first maximum wins.  Only the m(m + 1)/2
-    block winners are given a bitmask, a Python int, and compared by _rank.
+    The groups are the additive reward's runs of equal (weight, cost),
+    which must have sizes 1, 2, 4, ...  Candidate sets are unions of
+    consecutive whole groups plus a prefix of the next group (agents
+    within a group are interchangeable, and lower groups dominate higher
+    ones per unit of payment), which brute force confirms is where the
+    optimum lives for small m; that holds on this family only, hence the
+    metadata gate.  _class_solve evaluates the n m candidates with O(n m)
+    array work.
     """
-    m, sizes, starts = _geometric_layout(inst)
-    weights = inst.reward.weights
-    group_w = [float(weights[starts[g]]) for g in range(m)]
-    group_alpha = [float(inst.costs[starts[g]] / weights[starts[g]]) for g in range(m)]
-
-    def block_winner(util, lo, start):
-        """_rank key of a block's winner, where candidate k takes agents
-        lo .. start + k."""
-        k = _argbest(util)
-        return _rank(float(util[k]), (1 << (start + k + 1)) - (1 << lo))
-
-    best = ref = _rank(0.0, 0)  # the empty set
-    examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
-    for L in range(m):
-        alpha_top = group_alpha[L]
-        if not alpha_top <= 1 + COMPARE_TOL:
-            continue
-        if spec.mode == "beta_nd":
-            floor = alpha_top / spec.beta
-        run_value = 0.0
-        run_pay_unc = 0.0
-        run_pay_cons = 0.0
-        for j in range(L, m):
-            pay_j_unc = group_alpha[j]
-            if spec.mode == "unconstrained":
-                pay_j = pay_j_unc
-            elif spec.mode == "nd":
-                pay_j = alpha_top
-            else:
-                pay_j = max(pay_j_unc, floor)
-            p = np.arange(1, sizes[j] + 1, dtype=float)
-            value = run_value + p * group_w[j]
-            pay_unc = run_pay_unc + p * pay_j_unc
-            pay = pay_unc if spec.mode == "unconstrained" else run_pay_cons + p * pay_j
-            ref = min(ref, block_winner((1.0 - pay_unc) * value, starts[L], starts[j]))
-            best = min(best, block_winner((1.0 - pay) * value, starts[L], starts[j]))
-            run_value += sizes[j] * group_w[j]
-            run_pay_unc += sizes[j] * pay_j_unc
-            run_pay_cons += sizes[j] * pay_j
-    # a _rank key ends with the mask
-    out = optimal_contract_for_set(inst, best[2], spec)
-    ref_out = optimal_contract_for_set(inst, ref[2], ModeSpec.unconstrained())
-    return SolveReport(spec, out, "geometric", examined, ref_out.utility)
+    r = inst.reward
+    if (inst.metadata or {}).get("family") != "geometric" or r.kind != "additive":
+        raise StructureError(
+            "structured geometric solving needs a geometric-family instance"
+        )
+    change = np.diff(np.stack([r.weights, inst.costs]), axis=1) != 0
+    starts = np.flatnonzero(np.concatenate([[True], change.any(axis=0)]))
+    sizes = np.diff(starts, append=inst.n).tolist()
+    if sizes != [1 << g for g in range(len(sizes))]:
+        raise StructureError(
+            "geometric solving needs runs of equal weight and cost "
+            "of sizes 1, 2, 4, ..."
+        )
+    weights, costs = r.weights[starts].tolist(), inst.costs[starts].tolist()
+    return _class_solve(inst, spec, "geometric", sizes, weights, costs)
 
 
 def _default_base(inst: Instance) -> int:
@@ -288,16 +246,18 @@ def build_instance(family: str, params: dict, seed: int | None = None) -> Instan
     raise ParameterError(f"unknown family {family!r}")
 
 
-def _sweep_point(sweep: SweepSpec, value) -> RatioRecord:
+def _sweep_instance(sweep: SweepSpec, value) -> Instance:
     params = dict(sweep.params)
-    delta_used = None
     if sweep.grid_param in ("m", "n"):
         params[sweep.grid_param] = int(value)
     elif sweep.grid_param == "beta" and sweep.family == "tight2":
         params["beta"] = float(value)
+    return build_instance(sweep.family, params, sweep.seed)
 
-    inst = build_instance(sweep.family, params, sweep.seed)
 
+def _sweep_point(sweep: SweepSpec, value, inst: Instance) -> RatioRecord:
+    params = sweep.params
+    delta_used = None
     if sweep.grid_param == "beta":
         spec = ModeSpec.beta_nd(float(value))
     elif sweep.grid_param == "delta":
@@ -319,33 +279,26 @@ def _sweep_point(sweep: SweepSpec, value) -> RatioRecord:
 def run_sweep(sweep: SweepSpec, out_path=None, workers: int = 1) -> list[RatioRecord]:
     """Evaluate every grid point; failures become error records, not aborts.
 
-    Points are independent and may run concurrently; output order always
-    follows the grid.  When out_path is given the records are also written
-    as CSV.
+    Points run one after another in grid order.  workers is accepted for
+    compatibility and ignored: the points are GIL-bound Python, and
+    solving them on threads did not pay.  An error record carries the
+    built instance's n, or 0 when the instance itself failed to build.
+    When out_path is given the records are also written as CSV.
     """
-    def run_one(value):
+    records = []
+    for value in sweep.grid_values:
+        n = 0
         try:
-            return _sweep_point(sweep, value)
+            inst = _sweep_instance(sweep, value)
+            n = inst.n
+            records.append(_sweep_point(sweep, value, inst))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
-            return RatioRecord(
-                instance_id=f"{sweep.family}[{sweep.grid_param}={value}]",
-                n=int(sweep.params.get("n", 0) or 0),
-                beta=None,
-                delta=None,
-                opt=None,
-                opt_nd=None,
-                ratio=None,
-                method_opt=sweep.methods[0],
-                method_nd=sweep.methods[1],
-                degenerate=False,
+            records.append(RatioRecord(
+                instance_id=f"{sweep.family}[{sweep.grid_param}={value}]", n=n,
+                beta=None, delta=None, opt=None, opt_nd=None, ratio=None,
+                method_opt=sweep.methods[0], method_nd=sweep.methods[1],
                 error=f"{type(exc).__name__}: {exc}",
-            )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, sweep.grid_values))
-    else:
-        records = [run_one(v) for v in sweep.grid_values]
+            ))
 
     if out_path is not None:
         write_csv(records, out_path)

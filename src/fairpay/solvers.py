@@ -6,8 +6,10 @@ halves of the table viewed as reshape(-1, 2, 2^i) (rewards.halves), so
 the kernel builds no mask or index arrays.
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
-fraction of the base utility.  symmetric_solve and two_agent_solve are
-exact structure-exploiting fast paths.
+fraction of the base utility.  symmetric_solve and geometric_solve (in
+experiments) are exact fast paths for rewards made of runs of agents with
+equal weight and cost, both evaluated by _class_solve; two_agent_solve
+prices the four sets of a two-agent instance.
 
 Ties between maximizing sets are always broken toward smaller
 cardinality, then smaller bitmask (_rank), so results are independent of
@@ -16,6 +18,7 @@ enumeration order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +31,12 @@ from .contracts import (
     IncentiveOutcome,
     Instance,
     ModeSpec,
-    indifference_payment,
+    _indifference_payments,
+    indifference_payment,  # noqa: F401 - bench/tracing.py wraps this name
     optimal_contract_for_set,
 )
 from .errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from .rewards import as_mask, halves, mask_to_indices
+from .rewards import as_mask, halves
 
 BRUTE_FORCE_LIMIT = 22
 
@@ -85,13 +89,13 @@ def _argbest(util, popc=None):
     or None when index order already sorts by member count, so that the
     first maximum wins.
     """
-    top = util.max()
-    if not np.isfinite(top):
+    k = int(util.argmax())  # the first maximum
+    if not np.isfinite(util[k]):
         return None
-    cand = np.flatnonzero(util == top)
-    if popc is not None:
-        cand = cand[popc[cand] == popc[cand].min()]
-    return int(cand[0])
+    if popc is None:
+        return k
+    cand = np.flatnonzero(util == util[k])
+    return int(cand[popc[cand].argmin()])
 
 
 def _table_best(table, costs, mode, beta):
@@ -191,11 +195,8 @@ def _base_alphas(inst: Instance, base) -> tuple[int, dict[int, float]]:
             f"base set is not feasible under unconstrained payments "
             f"({outcome.infeasibility_reason})"
         )
-    alphas = {
-        i: indifference_payment(inst, i, base_mask)
-        for i in mask_to_indices(base_mask)
-    }
-    return base_mask, alphas
+    members, alphas = _indifference_payments(inst, base_mask)
+    return base_mask, dict(zip(np.flatnonzero(members).tolist(), alphas.tolist()))
 
 
 def log_partition(inst: Instance, base) -> PartitionResult:
@@ -261,51 +262,64 @@ def delta_partition(inst: Instance, base, delta: float) -> PartitionResult:
     return PartitionResult(masks, per_group, t + 1, base_mask)
 
 
-def _two_class_scan(f_a, f_b, count_b, c_a, c_b, mode, beta):
-    """Best (utility, popcount, mask) over candidates (a in/out, t of b's).
+def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
+    """Exact optimum over the class candidates of a reward with constant
+    marginals, and the unconstrained optimum over them, in one pass.
 
-    Utilities on this reward depend only on a-membership and the number of
-    identical agents taken, so the scan is exact; within a candidate class
-    the t lowest-index identical agents realize the smallest bitmask.
-    Members with a vanishing marginal get a sentinel payment above 1, which
-    the feasibility filter then rejects.  The candidates are laid out as
-    (out, 0), (in, 0), (out, 1), (in, 1), ...: candidate k has (k + 1) // 2
-    members, and (a in, t) has a smaller mask than (a out, t + 1), so the
-    first maximum is the tie-break winner and only its bitmask is built.
+    A class is a run of consecutive agents with equal weight (their
+    marginal) and equal cost: class g holds sizes[g] agents at the rate
+    costs[g] / weights[g], infinite for a vanishing weight.  A candidate
+    takes classes L..j-1 whole plus the first p agents of class j.  As in
+    optimal_contract_for_set, its top rate must be at most 1, and each
+    member is paid max(rate, top / beta), with beta = 1 for nd and
+    beta = inf for unconstrained.  The candidates of a block (L, j) are
+    one array whose size and mask grow with p, so the first maximum wins
+    there; only the block winners get a bitmask and a _rank key.  With k
+    classes this is O(k n) array work plus O(k^3) scalar steps.
     """
-    alpha_a = c_a / f_a if f_a > MARGINAL_TOL else 2.0
-    alpha_b = c_b / f_b if f_b > MARGINAL_TOL else 2.0
-    t = np.arange(count_b + 1, dtype=float)
-    util = np.empty(2 * (count_b + 1))
-    for a_in in (0, 1):
-        if a_in:
-            top = np.where(t > 0, max(alpha_a, alpha_b), alpha_a)
-        else:
-            top = np.where(t > 0, alpha_b, 0.0)
-        if mode == "unconstrained":
-            pay = a_in * alpha_a + t * alpha_b
-        elif mode == "nd":
-            pay = (a_in + t) * top
-        else:
-            pay = a_in * np.maximum(alpha_a, top / beta) + t * np.maximum(
-                alpha_b, top / beta
-            )
-        value = a_in * f_a + t * f_b
-        util[a_in::2] = np.where(top <= 1 + COMPARE_TOL, (1.0 - pay) * value, -np.inf)
-    util[0] = 0.0  # empty set baseline
-    k = _argbest(util)
-    a_in, tt = k & 1, k >> 1
-    return (float(util[k]), a_in + tt, a_in | (((1 << tt) - 1) << 1))
+    starts = [0, *itertools.accumulate(sizes)]
+    rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
+    beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
+
+    def block_winner(util, L, j):
+        """_rank key of block (L, j)'s best candidate, where candidate k
+        takes agents starts[L] .. starts[j] + k."""
+        k = _argbest(util)
+        return _rank(float(util[k]), (1 << (starts[j] + k + 1)) - (1 << starts[L]))
+
+    best = ref = _rank(0.0, 0)  # the empty set
+    for L in range(len(sizes)):
+        top = value = pay_unc = 0.0  # value and pay_unc: classes L..j-1 whole
+        for j in range(L, len(sizes)):
+            top = max(top, rates[j])
+            if top > 1 + COMPARE_TOL:
+                break  # every later block holds class j too
+            floor = top / beta
+            pay = 0.0  # summed afresh: the floor rises with the top rate
+            for g in range(L, j):
+                pay += sizes[g] * max(rates[g], floor)
+            p = np.arange(1, sizes[j] + 1, dtype=float)
+            val = value + p * weights[j]
+            ref = min(ref, block_winner((1.0 - (pay_unc + p * rates[j])) * val, L, j))
+            best = min(best, block_winner((1.0 - (pay + p * max(rates[j], floor))) * val, L, j))
+            value += sizes[j] * weights[j]
+            pay_unc += sizes[j] * rates[j]
+    examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
+    # a _rank key ends with the mask
+    out = optimal_contract_for_set(inst, best[2], spec)
+    ref_out = optimal_contract_for_set(inst, ref[2], ModeSpec.unconstrained())
+    return SolveReport(spec, out, method, examined, ref_out.utility)
 
 
 def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     """Exact optimum for two-class rewards over 2(n + 1) candidates.
 
     Requires a symmetric_two_class reward and identical costs for the
-    identical agents; candidates are (special agent in or out) x (how
-    many identical agents), which covers every distinct utility.  The
-    scan, the pricing of the winner and the reference are O(n) array
-    operations, and one n-bit mask is built per mode.
+    identical agents.  The two classes are the special agent and the
+    count_b identical ones, so _class_solve's candidates are (special
+    agent in or out) x (the t lowest-index identical agents), which covers
+    every distinct utility with the smallest mask.  The scan, the pricing
+    of the winner and the reference are O(n) array operations.
     """
     r = inst.reward
     if r.kind != "symmetric_two_class":
@@ -315,13 +329,8 @@ def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     tail = inst.costs[1:]
     if not np.all(tail == tail[0]):
         raise StructureError("identical agents must share a single cost")
-    args = (r.f_a, r.f_b, r.count_b, float(inst.costs[0]), float(tail[0]))
-
-    best_key = _two_class_scan(*args, spec.mode, spec.beta)
-    ref_key = _two_class_scan(*args, "unconstrained", None)
-    best = optimal_contract_for_set(inst, best_key[2], spec)
-    ref = optimal_contract_for_set(inst, ref_key[2], ModeSpec.unconstrained())
-    return SolveReport(spec, best, "symmetric", 2 * (r.count_b + 1), ref.utility)
+    costs = [float(inst.costs[0]), float(tail[0])]
+    return _class_solve(inst, spec, "symmetric", [1, r.count_b], [r.f_a, r.f_b], costs)
 
 
 def two_agent_bound(beta: float) -> float:

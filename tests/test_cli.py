@@ -235,6 +235,47 @@ def test_non_object_result_file_exit_2(tmp_path, capsys):
     assert "result file must be a JSON object" in err and "Traceback" not in err
 
 
+def _geometric_file(tmp_path, edit):
+    path = tmp_path / "geo.json"
+    assert run(["gen", "geometric", "--m", 4, "--T", 3, "--out", path]) == 0
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("m", [None, 3, 5])
+def test_geometric_method_reads_groups_from_the_weights(tmp_path, m):
+    """A geometric file with no "m", or a wrong one, solves to the
+    brute-force optimum: the groups are the reward's runs."""
+    def set_m(data):
+        del data["metadata"]["m"]
+        if m is not None:
+            data["metadata"]["m"] = m
+
+    inst = _geometric_file(tmp_path, set_m)
+    for mode in (["unconstrained"], ["nd"], ["beta-nd", "--beta", 4]):
+        results = []
+        for method in ("geometric", "brute"):
+            out = tmp_path / f"{method}.json"
+            assert run(["solve", "--in", inst, "--method", method, "--out", out,
+                        "--mode", *mode]) == 0
+            results.append(json.loads(out.read_text()))
+        geo, brute = results
+        assert geo["set"] == brute["set"]
+        assert geo["utility"] == pytest.approx(brute["utility"], abs=1e-12)
+
+
+def test_geometric_method_rejects_broken_doubling_runs(tmp_path, capsys):
+    def halve_agent_2(data):
+        data["reward"]["weights"][2] /= 2
+
+    inst = _geometric_file(tmp_path, halve_agent_2)
+    assert run(["solve", "--in", inst, "--mode", "nd", "--method", "geometric",
+                "--out", tmp_path / "r.json"]) == 2
+    assert "sizes 1, 2, 4" in capsys.readouterr().err
+
+
 def test_check_structure_pass(tmp_path, capsys):
     inst = tmp_path / "cov.json"
     run(["gen", "random-coverage", "--n", 6, "--seed", 3, "--out", inst])
@@ -360,6 +401,7 @@ def test_bound_command(capsys):
 
 
 def test_workers_env_default(tmp_path, monkeypatch):
+    """FAIRPAY_WORKERS is not read: every command runs single threaded."""
     monkeypatch.setenv("FAIRPAY_WORKERS", "3")
     inst = _gen_geo(tmp_path, m=3, T=3)
     out = tmp_path / "r.json"

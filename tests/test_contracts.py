@@ -21,7 +21,8 @@ from fairpay.contracts import (
 from fairpay.errors import ContractLogicError, EmptySetError, ParameterError
 from fairpay.experiments import random_two_agent_instance
 from fairpay.families import gen_geometric_family, gen_random, gen_two_agent_tight
-from fairpay.rewards import Additive, CappedAdditive, Coverage, mask_to_indices
+from fairpay.rewards import Additive, CappedAdditive, Coverage, SymmetricTwoClass, mask_to_indices
+from fairpay.solvers import _base_alphas
 
 
 @pytest.fixture
@@ -285,6 +286,14 @@ def _is_equilibrium_scalar(inst, contract, mask):
 def _instance(kind, n, seed):
     if kind == "explicit":
         return random_two_agent_instance(np.random.default_rng(seed))
+    if kind == "symmetric_two_class":
+        rng = np.random.default_rng(seed)
+        count_b = max(n - 1, 1)
+        f_b = rng.uniform(0.0, 1.0 / count_b)
+        f_a = rng.uniform(0.0, 1.0 - count_b * f_b)
+        costs = np.full(count_b + 1, rng.uniform(0.01, 1.0) * f_b + 1e-9)
+        costs[0] = rng.uniform(0.01, 1.0) * f_a + 1e-9
+        return Instance(count_b + 1, costs, SymmetricTwoClass(f_a, f_b, count_b))
     return gen_random(kind, n, seed)
 
 
@@ -304,6 +313,26 @@ def test_optimal_contract_matches_per_member_pricing(kind, n, seed, data):
         if reason is None:
             assert out.payments.payments.tobytes() == payments.tobytes()
             assert out.utility == utility
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "coverage", "capped_additive", "explicit",
+                          "symmetric_two_class"]),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_member_payments_match_indifference_payment(kind, n, seed, data):
+    """group_payment_nd and the partition base's payments read one
+    marginals array, bit for bit the per-member indifference_payment."""
+    inst = _instance(kind, n, seed)
+    mask = data.draw(st.integers(1, (1 << inst.n) - 1))
+    members = mask_to_indices(mask)
+    alphas = [indifference_payment(inst, i, mask) for i in members]
+    assert group_payment_nd(inst, mask) == (None if None in alphas else max(alphas))
+    if optimal_contract_for_set(inst, mask, ModeSpec.unconstrained()).feasible:
+        assert _base_alphas(inst, mask) == (mask, dict(zip(members, alphas)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairpay.contracts import Instance, ModeSpec
+from fairpay.contracts import Instance, ModeSpec, is_equilibrium
 from fairpay.errors import ParameterError
 from fairpay.experiments import (
     CSV_COLUMNS,
@@ -24,6 +26,7 @@ from fairpay.experiments import (
 from fairpay.families import gen_geometric_family, gen_two_agent_tight
 from fairpay.rewards import Additive
 from fairpay.solvers import brute_force, two_agent_bound
+from test_structured_scans import _specs
 
 R2 = math.sqrt(2.0)
 
@@ -98,24 +101,25 @@ def test_solve_with_partition_methods():
         solve_with(inst, ModeSpec.beta_nd(2.0), "log_partition")
 
 
-def test_geometric_solve_matches_brute_force_small_m():
-    # the consecutive-groups restriction is exact where brute force can check
-    for m in (2, 3, 4):
-        for T in (2, 3, 5):
-            inst = gen_geometric_family(m, T)
-            specs = [
-                ModeSpec.unconstrained(),
-                ModeSpec.nd(),
-                ModeSpec.beta_nd(2.0),
-                ModeSpec.beta_nd(inst.n**0.5),
-                ModeSpec.beta_nd(inst.n**1.5),
-            ]
-            for spec in specs:
-                fast = geometric_solve(inst, spec)
-                slow = brute_force(inst, spec)
-                assert fast.best.utility == pytest.approx(
-                    slow.best.utility, abs=1e-12
-                ), (m, T, spec)
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    T=st.floats(2.0, 50.0),
+    cost_scale=st.sampled_from([1.0, 7.0, 300.0, "rate-one"]),
+    beta=st.floats(1.0, 1e4),
+)
+def test_geometric_solve_matches_brute_force_small_m(m, T, cost_scale, beta):
+    """The consecutive-groups restriction is exact where brute force can
+    check it, with scaled costs (the leading groups unaffordable) and with
+    every rate at exactly 1, and the winner is an equilibrium."""
+    inst = gen_geometric_family(m, T)
+    costs = np.array(inst.reward.weights) if cost_scale == "rate-one" else inst.costs * cost_scale
+    inst = Instance(inst.n, costs, inst.reward, inst.metadata)
+    for spec in _specs(inst.n, beta):
+        fast = geometric_solve(inst, spec)
+        slow = brute_force(inst, spec)
+        assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12), (m, T, spec)
+        assert is_equilibrium(inst, fast.best.payments, fast.best.members)
 
 
 def test_geometric_solve_rejects_other_instances():
@@ -200,6 +204,18 @@ def test_sweep_point_failure_is_recorded():
     records = run_sweep(sweep)
     assert records[0].error is None and records[2].error is None
     assert records[1].error is not None and "m must be" in records[1].error
+
+
+def test_sweep_error_rows_record_the_instance_size():
+    """A point whose solver fails records its instance's n; only a point
+    whose instance fails to build records 0."""
+    symmetric = ("symmetric", "symmetric")  # not a two-class reward: each point fails
+    tight = SweepSpec("tight2", {"epsilon": 1e-6}, "beta", [2.0, 3.0], methods=symmetric)
+    geometric = SweepSpec("geometric", {"T": 3}, "m", [2, 0, 3], methods=symmetric)
+    for sweep, sizes in ((tight, [2, 2]), (geometric, [3, 0, 7])):
+        records = run_sweep(sweep)
+        assert all(r.error is not None for r in records)
+        assert [r.n for r in records] == sizes
 
 
 def test_sweep_spec_validation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpay.contracts import Instance, ModeSpec, optimal_contract_for_set
+from fairpay.contracts import Instance, ModeSpec, is_equilibrium, optimal_contract_for_set
 from fairpay.errors import EmptySetError, ParameterError, SizeLimitError, StructureError
 from fairpay.experiments import solve_with
 from fairpay.families import (
@@ -25,6 +25,7 @@ from fairpay.solvers import (
     two_agent_bound,
     two_agent_solve,
 )
+from test_structured_scans import _specs, _two_class_instances
 
 R2 = math.sqrt(2.0)
 
@@ -311,23 +312,16 @@ def test_symmetric_solve_lemma9_values():
     assert rep.best.utility == pytest.approx(expected, abs=1e-9)
 
 
-def _random_symmetric(rng):
-    count_b = int(rng.integers(1, 15))
-    f_b = rng.uniform(0.01, 0.6 / count_b)
-    f_a = rng.uniform(0.05, 1.0 - count_b * f_b - 0.01)
-    costs = np.full(count_b + 1, rng.uniform(0.05, 0.95) * f_b)
-    costs[0] = rng.uniform(0.05, 0.95) * f_a
-    return Instance(count_b + 1, costs, SymmetricTwoClass(f_a, f_b, count_b))
-
-
-def test_symmetric_solve_matches_brute_force():
-    rng = np.random.default_rng(71)
-    for _ in range(15):
-        inst = _random_symmetric(rng)
-        for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
-            fast = symmetric_solve(inst, spec)
-            slow = brute_force(inst, spec)
-            assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(inst=_two_class_instances(max_count=13), beta=st.floats(1.0, 1e4))
+def test_symmetric_solve_matches_brute_force(inst, beta):
+    """Exact on two-class instances with forced ties, in every mode, and
+    the winner is an equilibrium."""
+    for spec in _specs(inst.n, beta):
+        fast = symmetric_solve(inst, spec)
+        slow = brute_force(inst, spec)
+        assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12)
+        assert is_equilibrium(inst, fast.best.payments, fast.best.members)
 
 
 def test_symmetric_solve_structure_errors():

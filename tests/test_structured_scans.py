@@ -1,11 +1,12 @@
-"""The array scans of symmetric_solve and geometric_solve against the
-per-candidate loops they replaced, and the large-n scaling gate.
+"""symmetric_solve and geometric_solve, which share one class evaluator,
+against the per-candidate loops it replaced, and the large-n scaling gate.
 
 The two loop versions below are kept as references: each builds every
 candidate's bitmask as a Python int and folds it in with _better, the
 pairwise comparison the solvers used before their one sort key.  The
-array versions must pick the same winners, so every report matches
-exactly: members, utility, payment bytes, opt_reference and
+geometric loop takes its groups from metadata["m"], as geometric_solve
+once did.  The array versions must pick the same winners, so every report
+matches exactly: members, utility, payment bytes, opt_reference and
 candidates_examined.
 """
 
@@ -24,10 +25,10 @@ from fairpay.contracts import (
     is_equilibrium,
     optimal_contract_for_set,
 )
-from fairpay.experiments import _geometric_layout, geometric_solve
+from fairpay.experiments import geometric_solve
 from fairpay.families import gen_geometric_family, gen_two_class
 from fairpay.rewards import SymmetricTwoClass
-from fairpay.solvers import SolveReport, _two_class_scan, symmetric_solve
+from fairpay.solvers import SolveReport, symmetric_solve
 
 R2 = math.sqrt(2.0)
 
@@ -76,7 +77,9 @@ def _two_class_scan_loop(f_a, f_b, count_b, c_a, c_b, mode, beta):
 
 
 def _geometric_solve_loop(inst, spec):
-    m, sizes, starts = _geometric_layout(inst)
+    m = int(inst.metadata["m"])
+    sizes = [1 << k for k in range(m)]
+    starts = [(1 << k) - 1 for k in range(m)]
     weights = inst.reward.weights
     group_w = [float(weights[starts[g]]) for g in range(m)]
     group_alpha = [float(inst.costs[starts[g]] / weights[starts[g]]) for g in range(m)]
@@ -141,11 +144,12 @@ def _specs(n, beta):
 
 
 @st.composite
-def _two_class_instances(draw):
+def _two_class_instances(draw, max_count=500):
     """Two-class instances with forced ties: a zero-marginal crowd
     (f_b = 0) or special agent (f_a = 0), equal indifference rates, and
-    rates of exactly 1, where a set's utility ties the empty set's 0."""
-    count_b = draw(st.one_of(st.integers(1, 12), st.integers(13, 500)))
+    rates of exactly 1, where a set's utility ties the empty set's 0.
+    The crowd has at most max_count agents."""
+    count_b = draw(st.one_of(st.integers(1, 12), st.integers(13, max_count)))
     tie = draw(st.sampled_from(["none", "f_b=0", "f_a=0", "equal-alphas", "rate-one"]))
     f_b = 0.0 if tie == "f_b=0" else draw(st.floats(1e-6, 1.0)) / count_b
     f_a = 0.0 if tie == "f_a=0" else draw(st.floats(0.0, 1.0)) * (1.0 - count_b * f_b)
@@ -160,17 +164,6 @@ def _two_class_instances(draw):
     return Instance(count_b + 1, costs, SymmetricTwoClass(f_a, f_b, count_b))
 
 
-@settings(max_examples=100, deadline=None)
-@given(inst=_two_class_instances(), beta=st.floats(1.0, 1e4))
-def test_two_class_scan_matches_loop(inst, beta):
-    r = inst.reward
-    args = (r.f_a, r.f_b, r.count_b, float(inst.costs[0]), float(inst.costs[1]))
-    for spec in _specs(inst.n, beta):
-        assert _two_class_scan(*args, spec.mode, spec.beta) == _two_class_scan_loop(
-            *args, spec.mode, spec.beta
-        )
-
-
 def _symmetric_solve_loop(inst, spec):
     r = inst.reward
     args = (r.f_a, r.f_b, r.count_b, float(inst.costs[0]), float(inst.costs[1]))
@@ -179,6 +172,13 @@ def _symmetric_solve_loop(inst, spec):
     best = optimal_contract_for_set(inst, best_key[2], spec)
     ref = optimal_contract_for_set(inst, ref_key[2], ModeSpec.unconstrained())
     return SolveReport(spec, best, "symmetric", 2 * (r.count_b + 1), ref.utility)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=_two_class_instances(), beta=st.floats(1.0, 1e4))
+def test_two_class_scan_matches_loop(inst, beta):
+    for spec in _specs(inst.n, beta):
+        _assert_same_report(symmetric_solve(inst, spec), _symmetric_solve_loop(inst, spec))
 
 
 def test_symmetric_solve_matches_loop_on_the_lemma_families():
