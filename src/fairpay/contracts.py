@@ -257,17 +257,10 @@ def best_response_step(inst: Instance, contract: Contract, subset) -> int:
     """One synchronous round of best responses; returns the new set.
 
     Each agent compares exerting against shirking while the others hold
-    their actions fixed; exact ties go to effort.  Fixed points of this
-    map are equilibria (the converse holds except when a non-member is
-    exactly indifferent, where the tie-break pulls them in).
+    their actions fixed, through effort_gains; gains within COMPARE_TOL
+    below zero go to effort.  Fixed points of this map are equilibria
+    (the converse holds except when a non-member is exactly indifferent,
+    where the tie-break pulls them in).
     """
-    mask = as_mask(subset, inst.n)
-    f = inst.reward
-    new_mask = 0
-    for i in range(inst.n):
-        a_i = float(contract.payments[i])
-        exert = a_i * f.value(mask | (1 << i)) - float(inst.costs[i])
-        shirk = a_i * f.value(mask & ~(1 << i))
-        if exert >= shirk - COMPARE_TOL:
-            new_mask |= 1 << i
-    return new_mask
+    gain = effort_gains(inst, contract, subset)
+    return as_mask(np.flatnonzero(gain >= -COMPARE_TOL), inst.n)

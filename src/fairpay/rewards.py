@@ -24,8 +24,14 @@ from .errors import InvalidSubsetError, ParameterError, SizeLimitError
 VALUE_TOL = 1e-9
 STRUCT_TOL = 1e-12
 
-# Largest n for which check_structure enumerates every condition.
-EXHAUSTIVE_CHECK_LIMIT = 14
+# Largest n for which check_structure enumerates every condition; it is
+# also brute_force's limit (solvers.BRUTE_FORCE_LIMIT), so every explicit
+# table that brute_force can scan can become an Instance.
+EXHAUSTIVE_CHECK_LIMIT = 22
+# check_structure holds the gains of at most this many (agent, mask)
+# pairs at once, 32 MB: one block of agents up to n = 17, one agent at
+# n = 22, where all n rows would take 738 MB.
+GAINS_BLOCK = 1 << 22
 
 
 def as_mask(subset, n: int) -> int:
@@ -459,9 +465,10 @@ def check_structure(
     S, and submodularity in its pairwise form f(i | S + j) <= f(i | S) for
     all S and distinct i, j outside S (equivalent to the nested-sets
     form).  Agent i's monotonicity compares the two halves of the table
-    along bit i.  Every agent's gains f(S + i) - f(S) form one array,
-    NaN (so never a violation) where S holds i, and its two halves along
-    bit j hold the submodularity conditions of every pair (i, j).  The
+    along bit i.  The gains f(S + i) - f(S) of a block of agents form one
+    array, NaN (so never a violation) where S holds i, and its two halves
+    along bit j hold the submodularity conditions of every pair (i, j)
+    with i in the block; blocks hold at most GAINS_BLOCK entries.  The
     witness is the first violation in the order S, then i (monotonicity)
     or (min(i, j), max(i, j), i > j) (submodularity).
     Above the limit a seeded random sample of conditions is checked and
@@ -471,22 +478,26 @@ def check_structure(
     mono = sub = None
     if n <= exhaustive_limit:
         table = f.value_table()
-        gains = np.full((n, table.size), np.nan)
+        rows = max(1, GAINS_BLOCK >> n)
         found_mono, found_sub = [], []
-        for i in range(n):
-            without, with_i = halves(table, 1 << i)
-            halves(gains[i], 1 << i)[0][...] = with_i - without
-            mask = _first_mask(with_i < without - STRUCT_TOL, 1 << i)
-            if mask is not None:
-                found_mono.append((mask, i))
-        for j in range(n):
-            small, large = halves(gains, 1 << j)
-            hit = large > small + STRUCT_TOL
-            if not hit.any():
-                continue
-            for i in np.flatnonzero(hit.any(axis=(-2, -1))).tolist():
-                mask = _first_mask(hit[i], 1 << j)
-                found_sub.append((mask, min(i, j), max(i, j), i > j, i, j))
+        for lo in range(0, n, rows):
+            agents = range(lo, min(n, lo + rows))
+            gains = np.full((len(agents), table.size), np.nan)
+            for k, i in enumerate(agents):
+                without, with_i = halves(table, 1 << i)
+                halves(gains[k], 1 << i)[0][...] = with_i - without
+                mask = _first_mask(with_i < without - STRUCT_TOL, 1 << i)
+                if mask is not None:
+                    found_mono.append((mask, i))
+            for j in range(n):
+                small, large = halves(gains, 1 << j)
+                hit = large > small + STRUCT_TOL
+                if not hit.any():
+                    continue
+                for k in np.flatnonzero(hit.any(axis=(-2, -1))).tolist():
+                    i = agents[k]
+                    mask = _first_mask(hit[k], 1 << j)
+                    found_sub.append((mask, min(i, j), max(i, j), i > j, i, j))
         if found_mono:
             mask, i = min(found_mono)
             mono = (mask, mask | 1 << i, i)

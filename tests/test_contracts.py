@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairpay.contracts import (
@@ -348,3 +348,43 @@ def test_is_equilibrium_matches_scalar_comparison(kind, n, seed, data):
                                min_size=inst.n, max_size=inst.n))
     contract = Contract(np.clip(point + shift, 0.0, 1.0))
     assert is_equilibrium(inst, contract, mask) == _is_equilibrium_scalar(inst, contract, mask)
+
+
+def _best_response_scalar(inst, contract, mask):
+    """best_response_step as it compared each agent's two utilities with
+    two value calls."""
+    f = inst.reward
+    new_mask = 0
+    for i in range(inst.n):
+        a_i = float(contract.payments[i])
+        exert = a_i * f.value(mask | (1 << i)) - float(inst.costs[i])
+        shirk = a_i * f.value(mask & ~(1 << i))
+        if exert >= shirk - COMPARE_TOL:
+            new_mask |= 1 << i
+    return new_mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "coverage", "capped_additive", "explicit",
+                          "symmetric_two_class"]),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_best_response_step_matches_scalar_comparison(kind, n, seed, data):
+    """Payments sit at each agent's indifference point, exactly or shifted
+    by ±1e-6, or are drawn freely; draws whose gain lies within 1e-12 of
+    ±COMPARE_TOL, where the two regroupings may round apart, are skipped."""
+    inst = _instance(kind, n, seed)
+    mask = data.draw(st.integers(0, (1 << inst.n) - 1))
+    marg = inst.reward.marginals(mask)
+    point = np.divide(inst.costs, marg, out=np.zeros(inst.n), where=marg > 0)
+    shift = data.draw(st.lists(st.sampled_from([-1e-6, 0.0, 1e-6, None]),
+                               min_size=inst.n, max_size=inst.n))
+    free = data.draw(st.lists(st.floats(0.0, 1.0), min_size=inst.n, max_size=inst.n))
+    pay = [f if s is None else p + s for p, s, f in zip(point, shift, free)]
+    contract = Contract(np.clip(pay, 0.0, 1.0))
+    gain = contract.payments * marg - inst.costs
+    assume(np.all(np.abs(np.abs(gain) - COMPARE_TOL) > 1e-12))
+    assert best_response_step(inst, contract, mask) == _best_response_scalar(inst, contract, mask)

@@ -1,11 +1,14 @@
 """Reward oracle tests: evaluation, marginals, and structure checking."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpay.errors import InvalidSubsetError, ParameterError, SizeLimitError
+from fairpay import rewards
 from fairpay.families import gen_geometric_family, gen_random
 from fairpay.rewards import (
     Additive,
@@ -158,7 +161,7 @@ def test_check_structure_monotone_witness():
 
 
 def test_check_structure_size_limit_and_sampling():
-    f = Additive(np.full(20, 0.04))
+    f = Additive(np.full(23, 0.04))  # one agent above the exhaustive limit
     with pytest.raises(SizeLimitError):
         check_structure(f)
     with pytest.raises(ParameterError):
@@ -349,10 +352,14 @@ def _explicit_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(f=_explicit_tables())
-def test_check_structure_matches_per_condition_loop(f):
+@given(f=_explicit_tables(), rows=st.sampled_from([None, 1, 2]))
+def test_check_structure_matches_per_condition_loop(f, rows):
+    """rows shrinks GAINS_BLOCK to that many agents' gains, so that small
+    tables take the blocked path that large ones take."""
     monotone, submodular, witness, violated, checks = _check_structure_loop(f)
-    report = check_structure(f)
+    block = rewards.GAINS_BLOCK if rows is None else rows << f.n
+    with mock.patch.object(rewards, "GAINS_BLOCK", block):
+        report = check_structure(f)
     assert (report.monotone, report.submodular) == (monotone, submodular)
     assert report.witness == witness
     assert report.violated == violated

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpay.contracts import Instance, ModeSpec, is_equilibrium, optimal_contract_for_set
+from fairpay.contracts import (
+    COMPARE_TOL,
+    MARGINAL_TOL,
+    Instance,
+    ModeSpec,
+    is_equilibrium,
+    optimal_contract_for_set,
+)
 from fairpay.errors import EmptySetError, ParameterError, SizeLimitError, StructureError
 from fairpay.experiments import solve_with
 from fairpay.families import (
@@ -16,8 +23,19 @@ from fairpay.families import (
     gen_two_agent_tight,
     gen_two_class,
 )
-from fairpay.rewards import Additive, ExplicitTable, SymmetricTwoClass, mask_to_indices
+from fairpay.rewards import (
+    Additive,
+    CappedAdditive,
+    Coverage,
+    ExplicitTable,
+    SymmetricTwoClass,
+    as_mask,
+    halves,
+    mask_to_indices,
+)
 from fairpay.solvers import (
+    SolveReport,
+    _argbest,
     brute_force,
     delta_partition,
     log_partition,
@@ -168,6 +186,146 @@ def test_brute_force_empty_when_nothing_profitable():
     inst = Instance(2, np.array([0.9, 0.9]), Additive([0.4, 0.4]))
     rep = brute_force(inst, ModeSpec.unconstrained())
     assert rep.best.members == 0 and rep.best.utility == 0.0
+
+
+def _beta_pass_reference(table, costs, beta):
+    """(beta_nd best, unconstrained best) masks of a dense table, from the
+    full second pass over all 2^n sets that _table_best made before it
+    priced only the sets whose unconstrained utility reaches the bar; the
+    arithmetic is that pass's, kept as the reference for the pruned step."""
+    size = table.size
+    max_a = np.zeros(size)
+    sum_a = np.zeros(size)
+    popc = np.zeros(1, dtype=np.uint8)
+    while popc.size < size:
+        popc = np.concatenate([popc, popc + 1])
+
+    def alphas(i):
+        without, with_i = halves(table, 1 << i)
+        a = with_i - without
+        bad = a <= MARGINAL_TOL
+        np.copyto(a, 0.0, where=bad)
+        with np.errstate(divide="ignore"):
+            return np.divide(costs[i], a, out=a)
+
+    for i in range(costs.size):
+        a = alphas(i)
+        top, total = halves(max_a, 1 << i)[1], halves(sum_a, 1 << i)[1]
+        np.maximum(top, a, out=top)
+        total += a
+    infeasible = max_a > 1 + COMPARE_TOL
+
+    def select(pay):
+        np.subtract(1.0, pay, out=pay)
+        with np.errstate(invalid="ignore"):
+            np.multiply(pay, table, out=pay)
+        np.copyto(pay, -np.inf, where=infeasible)
+        return _argbest(pay, popc)
+
+    ref = select(sum_a)
+    floor = np.divide(max_a, beta, out=max_a)
+    pay = np.zeros(size)
+    for i in range(costs.size):
+        a = alphas(i)
+        np.maximum(a, halves(floor, 1 << i)[1], out=a)
+        total = halves(pay, 1 << i)[1]
+        total += a
+    return select(pay), ref
+
+
+def _reference_report(inst, beta):
+    spec = ModeSpec.beta_nd(beta)
+    best, ref = _beta_pass_reference(inst.reward.value_table(), inst.costs, beta)
+    ref_utility = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained()).utility
+    out = optimal_contract_for_set(inst, best, spec)
+    return SolveReport(spec, out, "brute_force", 1 << inst.n, ref_utility)
+
+
+def _random_instance(kind, n, seed):
+    """gen_random's kinds, and "explicit": a coverage table as ExplicitTable."""
+    if kind != "explicit":
+        return gen_random(kind, n, seed=seed)
+    cov = gen_random("coverage", n, seed=seed)
+    return Instance(n, cov.costs, ExplicitTable(n, cov.reward.value_table()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "coverage", "capped_additive", "explicit"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+    beta=st.sampled_from(["1", "1+", "2.5", "sqrt", "1e6"]),
+)
+def test_pruned_beta_scan_matches_full_pass(kind, n, seed, beta):
+    beta = {"1": 1.0, "1+": 1.0 + 1e-12, "2.5": 2.5, "sqrt": math.sqrt(n) + 1.0,
+            "1e6": 1e6}[beta]
+    inst = _random_instance(kind, n, seed)
+    rep = brute_force(inst, ModeSpec.beta_nd(beta))
+    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, beta))
+
+
+def test_pruned_beta_scan_breaks_ties_like_full_pass():
+    # every agent's rate is 1/16, so U(k agents) = (1 - k/16) k/16 and all
+    # 12,870 sets of 8 agents tie at 0.25 (in every mode, as all payments
+    # are equal); the smallest mask wins
+    inst = Instance(16, np.full(16, 1 / 256), Additive(np.full(16, 1 / 16)))
+    rep = brute_force(inst, ModeSpec.beta_nd(2.0))
+    assert rep.best.members == 0b11111111 and rep.best.utility == 0.25
+    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, 2.0))
+    # {2}, {0, 1}, {0, 2} and {1, 2} tie at 0.375 under beta = 1; the
+    # singleton wins although {0, 1} has the smaller mask
+    inst = _relabel(gen_geometric_family(2, 2), [1, 2, 0])
+    rep = brute_force(inst, ModeSpec.beta_nd(1.0))
+    assert rep.best.members == 0b100 and rep.best.utility == 0.375
+    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, 1.0))
+
+
+def test_explicit_table_above_fourteen_agents():
+    # the exhaustive structure check reaches brute_force's limit, so an
+    # explicit table of 15 agents builds an Instance
+    cov = gen_random("coverage", 15, seed=4)
+    inst = Instance(15, cov.costs, ExplicitTable(15, cov.reward.value_table()))
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+        rep, ref = brute_force(inst, spec), brute_force(cov, spec)
+        assert rep.best.members == ref.best.members
+        assert rep.best.utility == pytest.approx(ref.best.utility, abs=1e-12)
+        assert rep.opt_reference == pytest.approx(ref.opt_reference, abs=1e-12)
+
+
+def _relabel(inst, perm):
+    """The instance whose agent k is inst's agent perm[k]."""
+    r = inst.reward
+    if r.kind == "additive":
+        reward = Additive(r.weights[perm])
+    elif r.kind == "capped_additive":
+        reward = CappedAdditive(r.weights[perm], r.cap)
+    else:
+        reward = Coverage(r.element_weights, [r.covers[k] for k in perm])
+    return Instance(inst.n, inst.costs[perm], reward)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "coverage", "capped_additive"]),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_relabelling_agents_permutes_the_optimum(kind, seed, data):
+    n = data.draw(st.integers(1, 10))
+    perm = data.draw(st.permutations(range(n)))
+    inst = gen_random(kind, n, seed=seed)
+    moved = _relabel(inst, perm)
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(1.5),
+                 ModeSpec.beta_nd(4.0)):
+        best, other = brute_force(inst, spec).best, brute_force(moved, spec).best
+        assert other.utility == pytest.approx(best.utility, abs=1e-12)
+        if other.members != as_mask([k for k in range(n) if best.members >> perm[k] & 1], n):
+            # the optimum is not unique: the relabelled winner is another
+            # optimal set of the original instance
+            back = as_mask([perm[k] for k in mask_to_indices(other.members)], n)
+            assert back != best.members
+            tie = optimal_contract_for_set(inst, back, spec).utility
+            assert tie == pytest.approx(best.utility, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
