@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractLogicError, EmptySetError, ParameterError
-from .rewards import RewardFunction, as_mask, check_structure, mask_to_bools, mask_to_indices
+from .rewards import EXHAUSTIVE_CHECK_LIMIT, STRUCT_TOL, RewardFunction, as_mask, check_structure
+from .rewards import mask_to_bools, mask_to_indices
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +30,13 @@ log = logging.getLogger(__name__)
 # incentivized inside that set); also the slack used in comparisons.
 MARGINAL_TOL = 1e-9
 COMPARE_TOL = 1e-9
+# brute_force's singleton-rate bound: a marginal exceeds the agent's
+# singleton marginal by less than this, as explicit tables are submodular
+# up to STRUCT_TOL per pair and have at most EXHAUSTIVE_CHECK_LIMIT agents.
+RATE_TOL = EXHAUSTIVE_CHECK_LIMIT * STRUCT_TOL
+# brute_force prices every set whose bound is within this of the bar: nd
+# pays k * top as one product, which may round a few ulps off the rate sum.
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)

@@ -141,11 +141,21 @@ def _weight_vector(weights: Sequence[float]) -> np.ndarray:
     return w
 
 
-def _additive_table(weights: np.ndarray) -> np.ndarray:
-    table = np.zeros(1)
-    for w in weights:
-        table = np.concatenate([table, table + w])
-    return table
+def fold_subsets(op, values, dtype=float, out=None) -> np.ndarray:
+    """Array over all 2^n masks of op folded over each mask's values in
+    agent order from 0, built in one buffer by doubling: the masks whose
+    highest member is agent i are the masks below 1 << i with values[i]
+    folded in.  fold_subsets(np.add, w) holds every mask's sum of w."""
+    out = np.empty(1 << len(values), dtype) if out is None else out
+    out[0] = 0
+    for i, v in enumerate(values):
+        op(out[: 1 << i], v, out=out[1 << i : 2 << i])
+    return out
+
+
+def _additive_table(weights: np.ndarray, cap: float = 1.0) -> np.ndarray:
+    table = fold_subsets(np.add, weights)
+    return np.clip(table, 0.0, cap, out=table)
 
 
 class Additive(RewardFunction):
@@ -175,7 +185,7 @@ class Additive(RewardFunction):
         return self.weights.copy()
 
     def value_table(self) -> np.ndarray:
-        return np.clip(_additive_table(self.weights), 0.0, 1.0)
+        return _additive_table(self.weights)
 
     def descriptor(self) -> dict:
         return {"kind": "additive", "weights": self.weights.tolist()}
@@ -199,7 +209,7 @@ class CappedAdditive(RewardFunction):
         return min(self.cap, float(self.weights[mask_to_bools(mask, self.n)].sum()))
 
     def value_table(self) -> np.ndarray:
-        return np.clip(_additive_table(self.weights), 0.0, self.cap)
+        return _additive_table(self.weights, self.cap)
 
     def descriptor(self) -> dict:
         return {
@@ -302,7 +312,7 @@ class Coverage(RewardFunction):
                 block = grid[(*index, ...)]  # a view even with every axis fixed
                 block += w
                 index[n - 1 - k] = 0
-        return np.clip(table, 0.0, 1.0)
+        return np.clip(table, 0.0, 1.0, out=table)
 
     def descriptor(self) -> dict:
         return {
@@ -396,7 +406,7 @@ class SymmetricTwoClass(RewardFunction):
         return out
 
     def value_table(self) -> np.ndarray:
-        return np.clip(_additive_table(self.marginals(0)), 0.0, 1.0)
+        return _additive_table(self.marginals(0))
 
     def descriptor(self) -> dict:
         return {

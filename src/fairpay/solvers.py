@@ -1,14 +1,9 @@
 """Optimizers over incentive sets.
 
-brute_force enumerates every subset in one single-threaded pass over the
-dense value table: agent i's marginals are the difference of the two
-halves of the table viewed as reshape(-1, 2, 2^i) (rewards.halves), so
-the kernel builds no mask or index arrays.  beta_nd needs no second pass:
-a set's beta_nd utility is at most its unconstrained utility U(S), so
-only the sets with U(S) at or above the bar, the beta_nd utility of the
-unconstrained winner, are priced exactly.  On 80 random instances at
-n = 16..20 and beta = 2 that was 1 to 73 sets (median 1); when every
-set ties it is all 2^n.
+brute_force finds the exact optimum over all 2^n subsets of the dense
+value table: a bound from each agent's singleton rate, built in a few
+contiguous passes, leaves out almost every set, and the few that can win
+are priced exactly (_table_best).
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
 fraction of the base utility.  symmetric_solve and geometric_solve (in
@@ -23,6 +18,7 @@ enumeration order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (
+    BOUND_SLACK,
     COMPARE_TOL,
     MARGINAL_TOL,
+    RATE_TOL,
     Contract,
     IncentiveOutcome,
     Instance,
@@ -41,10 +39,10 @@ from .contracts import (
     optimal_contract_for_set,
 )
 from .errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, halves
+from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, fold_subsets
 
 BRUTE_FORCE_LIMIT = EXHAUSTIVE_CHECK_LIMIT
-# masks priced per block by the beta_nd step of _table_best
+# masks priced per block by _table_best
 PRICE_BLOCK = 4096
 
 
@@ -105,86 +103,110 @@ def _argbest(util, popc=None):
     return int(cand[popc[cand].argmin()])
 
 
-def _beta_utils(table, costs, beta, masks, max_a):
-    """beta_nd utilities of the given masks, priced with _table_best's
-    arithmetic: agent i's payment in S is max(costs[i] / (table[S] -
-    table[S - i]), max_a[S] / beta), infinite where the marginal is at
-    most MARGINAL_TOL, and the payments are summed in agent order from
-    0.0 (cumsum adds sequentially, where np.sum would add pairwise)."""
-    bits = 1 << np.arange(costs.size)
-    has = (masks[:, None] & bits) != 0
+def _price(table, costs, masks, mode, beta):
+    """Unconstrained and mode utilities of the given masks, and their
+    member counts, -inf for an infeasible set.
+
+    Agent i's payment in S is costs[i] / (table[S] - table[S - i]); S is
+    infeasible when a member's marginal is at most MARGINAL_TOL or its
+    top payment exceeds 1 + COMPARE_TOL.  The unconstrained and beta_nd
+    payments, max(alpha_i, top / beta), are summed in agent order (reduce
+    adds sequentially, np.sum pairwise); nd pays popc * top.  Arrays are
+    agents x masks, so that each agent's row is contiguous.
+    """
+    bits = (1 << np.arange(costs.size))[:, None]
+    has = (masks & bits) != 0
     value = table[masks]
-    marg = value[:, None] - table[masks[:, None] & ~bits]  # 0 off the set
-    with np.errstate(divide="ignore"):
-        alpha = costs / np.where(marg > MARGINAL_TOL, marg, 0.0)
-    pay = np.where(has, np.maximum(alpha, (max_a[masks] / beta)[:, None]), 0.0)
-    return (1.0 - np.cumsum(pay, axis=1)[:, -1]) * value
+    marg = value - table[masks & ~bits]  # 0 off the set
+    paid = marg > MARGINAL_TOL  # hence members only
+    alpha = np.divide(costs[:, None], marg, out=np.zeros(marg.shape), where=paid)
+    popc = has.sum(axis=0)
+    top = alpha.max(axis=0)
+    infeasible = (paid.sum(axis=0) < popc) | (top > 1 + COMPARE_TOL)
+
+    def utility(pay):
+        util = (1.0 - pay) * value
+        util[infeasible] = -np.inf
+        return util
+
+    ref = utility(functools.reduce(np.add, alpha))
+    if mode == "nd":
+        return ref, utility(popc * top), popc
+    if mode == "beta_nd":
+        floor = np.where(has, np.maximum(alpha, top / beta), 0.0)
+        return ref, utility(functools.reduce(np.add, floor)), popc
+    return ref, ref, popc
 
 
 def _table_best(table, costs, mode, beta):
-    """Best masks for the requested mode and for the unconstrained mode,
-    scanning every subset of the dense value table.
+    """Best masks for the requested mode and for the unconstrained mode
+    over every subset of the dense value table.
 
-    Agent i's marginals are the difference of the table's two halves
-    along bit i (see halves), and every per-mask array is updated in
-    place through the same views.
+    The rewards are submodular, so agent i's marginal in any set is at
+    most its singleton marginal plus RATE_TOL, and its payment alpha_i(S)
+    is at least its rate r_i = costs[i] / (that marginal + RATE_TOL), bit
+    for bit, as rounding is monotone.  The rates R[S] of each set, summed
+    by doubling in agent order as the payments are, give B = (1 - R) t >=
+    the unconstrained and beta_nd utilities, and >= the nd one less
+    BOUND_SLACK, as the product k top may round below the sum.  The bar
+    is the exact utility of argmax B in each mode, or 0: only the sets
+    whose bound reaches it less BOUND_SLACK can win, and at a bar of 0
+    no set with t[S] = 0, which ties the empty set at best.
 
-    beta_nd is not scanned again.  With beta >= 1 each beta_nd payment
-    max(alpha_i, top / beta) is at least alpha_i, and both sums run in
-    agent order, so a set's beta_nd utility is at most its unconstrained
-    utility U(S), bit for bit (rounding is monotone).  The bar is the
-    beta_nd utility of the unconstrained winner, a lower bound on the
-    beta_nd optimum; only the sets with U(S) >= bar can tie or beat it,
-    and only they are priced exactly, PRICE_BLOCK masks at a time.  In
-    the worst case, when every set ties, that is all 2^n of them.
+    When the price of non-discrimination is high, B stays above the nd or
+    beta_nd bar on many sets.  Once pricing them, n operations each,
+    would cost more than a pass over the table, the mode's own bound
+    (1 - k rho / beta) t, with beta = 1 for nd, prunes them again: every
+    member is paid at least top / beta >= rho[S] / beta, the largest rate.
+    Survivors are priced exactly, PRICE_BLOCK masks at a time, each once
+    for both modes: O(2^n) contiguous passes plus O(s n) pricing of s
+    survivors, and s is 2^n when every set ties.
     """
-    size = table.size
-    max_a = np.zeros(size)
-    sum_a = np.zeros(size)
-    popc = np.zeros(1, dtype=np.uint8)
-    while popc.size < size:
-        popc = np.concatenate([popc, popc + 1])
-    a_buf = np.empty(size // 2)
-    bad_buf = np.empty(size // 2, dtype=bool)
-    for i in range(costs.size):
-        # agent i's indifference payments in each mask that contains it,
-        # inf where the marginal vanishes
-        without, with_i = halves(table, 1 << i)
-        a = a_buf.reshape(without.shape)
-        bad = bad_buf.reshape(without.shape)
-        np.subtract(with_i, without, out=a)
-        np.less_equal(a, MARGINAL_TOL, out=bad)
-        np.copyto(a, 0.0, where=bad)
-        with np.errstate(divide="ignore"):
-            np.divide(costs[i], a, out=a)
-        top, total = halves(max_a, 1 << i)[1], halves(sum_a, 1 << i)[1]
-        np.maximum(top, a, out=top)
-        total += a
-    # a set is feasible iff every member's payment is at most 1, i.e. iff
-    # its largest payment is; a vanishing marginal makes that payment inf
-    infeasible = max_a > 1 + COMPARE_TOL
+    n = costs.size
+    with np.errstate(over="ignore"):
+        rates = costs / (table[1 << np.arange(n)] - table[0] + RATE_TOL)
+    # a rate above 1 + COMPARE_TOL makes every set holding the agent
+    # infeasible; capped, R stays finite, so (1 - R) t is never inf * 0
+    np.minimum(rates, 2.0, out=rates)
 
-    def select(pay):
-        """Reduce a payment vector, overwriting it with the utilities.
-        The empty set is always feasible, with utility 0."""
+    def utility(pay):
         np.subtract(1.0, pay, out=pay)
-        with np.errstate(invalid="ignore"):
-            np.multiply(pay, table, out=pay)
-        np.copyto(pay, -np.inf, where=infeasible)
-        return _argbest(pay, popc)
+        return np.multiply(pay, table, out=pay)
 
-    ref = select(sum_a)
-    if mode == "unconstrained":
-        return ref, ref
-    if mode == "nd":
-        return select(np.multiply(popc, max_a, out=max_a)), ref
-    bar = _beta_utils(table, costs, beta, np.array([ref]), max_a)[0]
-    cand = np.flatnonzero(sum_a >= bar)  # ascending; infeasible sets are -inf
-    util = np.concatenate([
-        _beta_utils(table, costs, beta, cand[k : k + PRICE_BLOCK], max_a)
-        for k in range(0, cand.size, PRICE_BLOCK)
-    ])
-    return int(cand[_argbest(util, popc[cand])]), ref
+    def reach(bound, bar):
+        """The empty set and the sets whose bound reaches bar >= 0."""
+        hit = bound >= bar - BOUND_SLACK
+        if bar <= BOUND_SLACK:
+            hit &= table > 0
+        hit[0] = True
+        return hit
+
+    def bars(bound):
+        """Exact (unconstrained, mode) utilities of argmax bound, or 0."""
+        ref, util, _ = _price(table, costs, np.array([bound.argmax()]), mode, beta)
+        return max(ref[0], 0.0), max(util[0], 0.0)
+
+    bound = utility(fold_subsets(np.add, rates))
+    bar_ref, bar = bars(bound)
+    keep = reach(bound, min(bar_ref, bar))
+    if mode != "unconstrained" and np.count_nonzero(keep) * n > table.size:
+        keep_ref = reach(bound, bar_ref)
+        pay = fold_subsets(np.maximum, rates, out=bound)
+        np.multiply(pay, fold_subsets(np.add, np.ones(n, np.uint8), np.uint8), out=pay)
+        if mode == "beta_nd":
+            np.divide(pay, beta, out=pay)
+        bound = utility(pay)
+        keep &= reach(bound, max(bar, bars(bound)[1]))
+        keep |= keep_ref
+    cand = np.flatnonzero(keep)
+    ref, util, popc = (
+        np.concatenate(parts)
+        for parts in zip(*(
+            _price(table, costs, cand[k : k + PRICE_BLOCK], mode, beta)
+            for k in range(0, cand.size, PRICE_BLOCK)
+        ))
+    )
+    return int(cand[_argbest(util, popc)]), int(cand[_argbest(ref, popc)])
 
 
 def brute_force(
@@ -193,15 +215,15 @@ def brute_force(
     workers: int = 1,
     limit: int = BRUTE_FORCE_LIMIT,
 ) -> SolveReport:
-    """Exact optimum by scanning all 2^n subsets in one vectorized pass.
+    """Exact optimum over all 2^n subsets of the dense value table.
 
     workers is accepted for compatibility and ignored: the scan is single
     threaded.  The unconstrained optimum is computed alongside and
-    reported as opt_reference.  Under beta_nd the pass bounds each set's
-    utility by its unconstrained one and prices exactly only the sets
-    whose bound reaches the bar, the beta_nd utility of the unconstrained
-    winner (see _table_best); in the worst case, when all sets tie, that
-    is every set.  candidates_examined counts all 2^n sets either way.
+    reported as opt_reference.  A singleton-rate bound on every set's
+    utility, O(2^n) contiguous passes, leaves out the sets that cannot
+    win; the s survivors are priced exactly in O(s n) (see _table_best),
+    and s is 2^n only when every set ties.  candidates_examined counts
+    all 2^n sets either way.
     """
     n = inst.n
     if n > limit:

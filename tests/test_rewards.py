@@ -210,6 +210,25 @@ def test_value_table_matches_pointwise_eval():
         table = f.value_table()
         for mask in range(1 << 7):
             assert table[mask] == pytest.approx(f.value(mask), abs=1e-12)
+    # additive tables add the weights in agent order from 0.0, as np.sum
+    # does below 8 terms, so they agree bit for bit; weights totalling
+    # above 1 or the cap are clipped like the pointwise values
+    for f in (
+        gen_random("additive", 7, seed=13).reward,
+        gen_random("capped_additive", 7, seed=13).reward,
+        Additive([0.6, 0.4 + 5e-10]),
+        CappedAdditive([0.3, 0.25, 0.2, 0.1], 0.5),
+    ):
+        assert np.array_equal(f.value_table(), [f.value(mask) for mask in range(1 << f.n)])
+    # and they are byte-identical to the former build, which concatenated
+    # the table with itself plus each weight and clipped a copy
+    for f in (gen_random("additive", 12, seed=5).reward, SymmetricTwoClass(0.3, 0.05, 11),
+              CappedAdditive(np.full(12, 0.1), 0.75)):
+        former = np.zeros(1)
+        for w in f.marginals(0) if f.kind == "symmetric_two_class" else f.weights:
+            former = np.concatenate([former, former + w])
+        cap = getattr(f, "cap", 1.0)
+        assert f.value_table().tobytes() == np.clip(former, 0.0, cap).tobytes()
     # coverage tables add element weights in ascending order, as the
     # pointwise evaluation does, so they agree bit for bit; also with one
     # agent, with an element every agent covers, and above 64 elements

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairpay.contracts import (
@@ -24,12 +24,14 @@ from fairpay.families import (
     gen_two_class,
 )
 from fairpay.rewards import (
+    STRUCT_TOL,
     Additive,
     CappedAdditive,
     Coverage,
     ExplicitTable,
     SymmetricTwoClass,
     as_mask,
+    check_structure,
     halves,
     mask_to_indices,
 )
@@ -151,14 +153,27 @@ def test_brute_force_matches_per_set_engine_scan():
             )
 
 
-def test_brute_force_winners_are_equilibria():
-    from fairpay.contracts import is_equilibrium
-
-    for seed in range(5):
-        inst = gen_random("coverage", 8, seed=seed)
-        for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
-            best = brute_force(inst, spec).best
-            assert is_equilibrium(inst, best.payments, best.members)
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["additive", "coverage", "capped_additive", "explicit", "symmetric_two_class"]
+    ),
+    n=st.integers(2, 10),
+    seed=st.integers(0, 10_000),
+    beta=st.floats(1.0, 1e4),
+)
+def test_brute_force_winners_are_equilibria(kind, n, seed, beta):
+    if kind == "symmetric_two_class":
+        rng = np.random.default_rng(seed)
+        f_b = rng.uniform(0.0, 1.0 / n)
+        reward = SymmetricTwoClass(rng.uniform(0.0, 1.0 - (n - 1) * f_b), f_b, n - 1)
+        costs = np.concatenate([rng.uniform(0.01, 0.2, 1), np.full(n - 1, rng.uniform(1e-4, 0.02))])
+        inst = Instance(n, costs, reward)
+    else:
+        inst = _random_instance(kind, n, seed)
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
+        best = brute_force(inst, spec).best
+        assert is_equilibrium(inst, best.payments, best.members)
 
 
 def test_brute_force_beta_monotone():
@@ -188,11 +203,11 @@ def test_brute_force_empty_when_nothing_profitable():
     assert rep.best.members == 0 and rep.best.utility == 0.0
 
 
-def _beta_pass_reference(table, costs, beta):
-    """(beta_nd best, unconstrained best) masks of a dense table, from the
-    full second pass over all 2^n sets that _table_best made before it
-    priced only the sets whose unconstrained utility reaches the bar; the
-    arithmetic is that pass's, kept as the reference for the pruned step."""
+def _full_pass_reference(table, costs, mode, beta):
+    """(mode best, unconstrained best) masks of a dense table from full
+    passes over all 2^n sets, as brute_force made them before it bounded
+    each set by its agents' singleton rates; the arithmetic is those
+    passes', kept as the reference for the bound-pruned scan."""
     size = table.size
     max_a = np.zeros(size)
     sum_a = np.zeros(size)
@@ -223,6 +238,10 @@ def _beta_pass_reference(table, costs, beta):
         return _argbest(pay, popc)
 
     ref = select(sum_a)
+    if mode == "unconstrained":
+        return ref, ref
+    if mode == "nd":
+        return select(np.multiply(popc, max_a, out=max_a)), ref
     floor = np.divide(max_a, beta, out=max_a)
     pay = np.zeros(size)
     for i in range(costs.size):
@@ -233,9 +252,9 @@ def _beta_pass_reference(table, costs, beta):
     return select(pay), ref
 
 
-def _reference_report(inst, beta):
-    spec = ModeSpec.beta_nd(beta)
-    best, ref = _beta_pass_reference(inst.reward.value_table(), inst.costs, beta)
+def _reference_report(inst, spec):
+    table = inst.reward.value_table()
+    best, ref = _full_pass_reference(table, inst.costs, spec.mode, spec.beta)
     ref_utility = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained()).utility
     out = optimal_contract_for_set(inst, best, spec)
     return SolveReport(spec, out, "brute_force", 1 << inst.n, ref_utility)
@@ -249,35 +268,153 @@ def _random_instance(kind, n, seed):
     return Instance(n, cov.costs, ExplicitTable(n, cov.reward.value_table()))
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def _nudged_explicit(draw):
+    """Coverage tables as ExplicitTable with a few entries, singletons
+    among them, moved by about STRUCT_TOL, as test_rewards draws them; a
+    lowered singleton raises the agent's later marginals above its first
+    one, which RATE_TOL must cover.  Tables that fail the structure check
+    cannot become an Instance and are not drawn."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cov = gen_random("coverage", n, seed=int(rng.integers(1 << 30)))
+    table = cov.reward.value_table()
+    at = np.concatenate([1 << rng.integers(0, n, size=2), rng.integers(1, 1 << n, size=2)])
+    table[at] += rng.choice([4e-13, -4e-13, 1e-12, -1e-12, 3e-12, -3e-12], size=at.size)
+    table = np.clip(table, 0.0, 1.0)
+    table[0] = 0.0
+    reward = ExplicitTable(n, table)
+    report = check_structure(reward)
+    assume(report.monotone and report.submodular)
+    return Instance(n, cov.costs, reward)
+
+
+@st.composite
+def _equal_rate_instances(draw):
+    """n agents of equal weight w at rate 1 / (2k + 1), where k and k + 1
+    agents tie exactly in every mode: (1 - k r) k w = (1 - (k + 1) r)(k + 1) w.
+    Which one wins is decided by rounding, in nd by the product k top
+    against the sum of the rates."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    w = draw(st.sampled_from([1 / 16, 0.05, 0.1, 1 / n, 1 / (n + 1), 0.7 / n]))
+    assume(n * w <= 1.0)
+    reward = Additive(np.full(n, w))
+    if draw(st.booleans()):
+        reward = ExplicitTable(n, reward.value_table())
+    return Instance(n, np.full(n, w / (2 * k + 1)), reward)
+
+
+@st.composite
+def _spread_rate_instances(draw):
+    """Additive agents whose rates spread over three decades, so that the
+    price of non-discrimination is high and the nd and beta_nd bounds of
+    brute_force's scan take over from the unconstrained one."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.ones(n)) * rng.uniform(0.5, 1.0)
+    rates = np.exp(rng.uniform(math.log(1e-3), math.log(0.9), n))
+    return Instance(n, w * rates, Additive(w))
+
+
+_BETAS = st.sampled_from(["1", "1+", "2.5", "sqrt", "1e6"])
+
+
+def _spec(mode, beta, n):
+    if mode != "beta_nd":
+        return ModeSpec(mode)
+    return ModeSpec.beta_nd({"1": 1.0, "1+": 1.0 + 1e-12, "2.5": 2.5,
+                             "sqrt": math.sqrt(n) + 1.0, "1e6": 1e6}[beta])
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(["additive", "coverage", "capped_additive", "explicit"]),
-    n=st.integers(1, 12),
-    seed=st.integers(0, 10_000),
-    beta=st.sampled_from(["1", "1+", "2.5", "sqrt", "1e6"]),
+    inst=st.one_of(
+        st.builds(
+            _random_instance,
+            st.sampled_from(["additive", "coverage", "capped_additive", "explicit"]),
+            st.integers(1, 12),
+            st.integers(0, 10_000),
+        ),
+        _nudged_explicit(),
+        _equal_rate_instances(),
+        _spread_rate_instances(),
+    ),
+    mode=st.sampled_from(["unconstrained", "nd", "beta_nd"]),
+    beta=_BETAS,
 )
-def test_pruned_beta_scan_matches_full_pass(kind, n, seed, beta):
-    beta = {"1": 1.0, "1+": 1.0 + 1e-12, "2.5": 2.5, "sqrt": math.sqrt(n) + 1.0,
-            "1e6": 1e6}[beta]
-    inst = _random_instance(kind, n, seed)
-    rep = brute_force(inst, ModeSpec.beta_nd(beta))
-    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, beta))
+def test_bound_scan_matches_full_pass(inst, mode, beta):
+    spec = _spec(mode, beta, inst.n)
+    rep = brute_force(inst, spec)
+    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
 
 
-def test_pruned_beta_scan_breaks_ties_like_full_pass():
+def test_bound_scan_breaks_ties_like_full_pass():
     # every agent's rate is 1/16, so U(k agents) = (1 - k/16) k/16 and all
     # 12,870 sets of 8 agents tie at 0.25 (in every mode, as all payments
     # are equal); the smallest mask wins
     inst = Instance(16, np.full(16, 1 / 256), Additive(np.full(16, 1 / 16)))
-    rep = brute_force(inst, ModeSpec.beta_nd(2.0))
-    assert rep.best.members == 0b11111111 and rep.best.utility == 0.25
-    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, 2.0))
-    # {2}, {0, 1}, {0, 2} and {1, 2} tie at 0.375 under beta = 1; the
-    # singleton wins although {0, 1} has the smaller mask
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+        rep = brute_force(inst, spec)
+        assert rep.best.members == 0b11111111 and rep.best.utility == 0.25
+        assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
+    # {2}, {0, 1}, {0, 2} and {1, 2} tie at 0.375 under beta = 1 and nd;
+    # the singleton wins although {0, 1} has the smaller mask
     inst = _relabel(gen_geometric_family(2, 2), [1, 2, 0])
-    rep = brute_force(inst, ModeSpec.beta_nd(1.0))
-    assert rep.best.members == 0b100 and rep.best.utility == 0.375
-    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, 1.0))
+    for spec in (ModeSpec.nd(), ModeSpec.beta_nd(1.0)):
+        rep = brute_force(inst, spec)
+        assert rep.best.members == 0b100 and rep.best.utility == 0.375
+        assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
+
+
+def test_bound_scan_when_rates_or_values_vanish():
+    # an infinite rate (a huge cost over a zero singleton value) meets
+    # t[S] = 0, and a table of zeros leaves every set at a bound of 0:
+    # neither may leave a NaN in the bound or lose the empty set
+    cases = [
+        Instance(3, np.array([1e300, 0.1, 0.1]), Additive([0.0, 0.3, 0.3])),
+        Instance(3, np.array([0.1, 1e300, 0.2]), Coverage([0.5, 0.5], [[0], [], [1]])),
+        Instance(12, np.full(12, 0.01), Additive(np.zeros(12))),
+    ]
+    for inst in cases:
+        for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+            rep = brute_force(inst, spec)
+            assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
+    assert brute_force(cases[2], ModeSpec.nd()).best.members == 0
+
+
+def test_bound_scan_at_a_high_price_of_non_discrimination():
+    # one costly agent is worth hiring at its own rate but not at a pay
+    # shared with 15 cheap ones, so the unconstrained bound stays above the
+    # nd and beta_nd bars on most sets and the mode's own bound prunes them
+    w = np.concatenate([[0.5], np.full(15, 0.5 / 15)])
+    inst = Instance(16, w * np.concatenate([[0.3], np.full(15, 0.001)]), Additive(w))
+    for spec in (ModeSpec.nd(), ModeSpec.beta_nd(2.0), ModeSpec.beta_nd(1e6)):
+        rep = brute_force(inst, spec)
+        assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
+    assert brute_force(inst, ModeSpec.nd()).best.members == (1 << 16) - 2
+    # agents 0 and 3 win under beta = 1.5, each paid 0.025 (agent 0 at the
+    # floor 0.03 / 1.5): the beta_nd bound must divide by beta
+    w = np.array([0.3, 0.2, 0.3, 0.2])
+    inst = Instance(4, w * np.array([0.004, 0.7, 0.25, 0.03]), Additive(w))
+    rep = brute_force(inst, ModeSpec.beta_nd(1.5))
+    assert rep.best.members == 0b1001 and rep.best.utility == pytest.approx(0.475, abs=1e-15)
+    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, ModeSpec.beta_nd(1.5)))
+
+
+def test_rate_tol_covers_tables_submodular_up_to_struct_tol():
+    # f(S) = 0.9 |S| / n + eps C(|S|, 2) is supermodular by eps <= STRUCT_TOL
+    # per pair, so it passes the structure check, and a marginal in a set of
+    # 12 exceeds the singleton one by 11 eps; a smaller RATE_TOL would bound
+    # the winner below its own utility and prune it
+    n, eps = 12, 0.9 * STRUCT_TOL
+    size = np.array([m.bit_count() for m in range(1 << n)])
+    table = Additive(np.full(n, 0.9 / n)).value_table() + eps * size * (size - 1) / 2
+    for rate in (0.05, 0.2):
+        inst = Instance(n, np.full(n, 0.9 / n * rate), ExplicitTable(n, table))
+        for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+            rep = brute_force(inst, spec)
+            assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
 
 
 def test_explicit_table_above_fourteen_agents():
