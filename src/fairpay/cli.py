@@ -8,6 +8,7 @@ errors, 3 degenerate solutions (only the empty set is worth incentivizing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,10 @@ METHOD_FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args reads
+    it and never writes it, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="fairpay",
         description="Optimal linear contracts under pay-equity constraints.",
@@ -230,8 +234,7 @@ def cmd_bound(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "gen": cmd_gen,
         "solve": cmd_solve,

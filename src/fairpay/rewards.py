@@ -32,6 +32,12 @@ EXHAUSTIVE_CHECK_LIMIT = 22
 # pairs at once, 32 MB: one block of agents up to n = 17, one agent at
 # n = 22, where all n rows would take 738 MB.
 GAINS_BLOCK = 1 << 22
+# Coverage.value_table views the table as rows of 2^ROW_BITS masks, one
+# per combination of the agents above the lowest ROW_BITS: 32 KB rows, so
+# each add runs contiguously for 4,096 entries.  It gathers its prefix
+# lookup GATHER_BLOCK masks at a time, with 768 KB of index arrays.
+ROW_BITS = 12
+GATHER_BLOCK = 1 << 16
 
 
 def as_mask(subset, n: int) -> int:
@@ -145,8 +151,10 @@ def fold_subsets(op, values, dtype=float, out=None) -> np.ndarray:
     """Array over all 2^n masks of op folded over each mask's values in
     agent order from 0, built in one buffer by doubling: the masks whose
     highest member is agent i are the masks below 1 << i with values[i]
-    folded in.  fold_subsets(np.add, w) holds every mask's sum of w."""
-    out = np.empty(1 << len(values), dtype) if out is None else out
+    folded in.  fold_subsets(np.add, w) holds every mask's sum of w.
+    values may be the n rows of a 2-d array, folded entry by entry."""
+    if out is None:
+        out = np.empty((1 << len(values), *np.shape(values)[1:]), dtype)
     out[0] = 0
     for i, v in enumerate(values):
         op(out[: 1 << i], v, out=out[1 << i : 2 << i])
@@ -289,29 +297,58 @@ class Coverage(RewardFunction):
     def value_table(self) -> np.ndarray:
         """Dense table of f, bit for bit equal to the pointwise evaluation.
 
-        Element weights are added in ascending element order, as
-        _value_of_mask adds them.  The masks that cover element e split
-        into disjoint blocks, one per agent k covering e: bit k set and the
-        bits of the covering agents above k clear.  With the table viewed
-        as one axis per agent (axis n-1-i holds agent i's bit) each block is
-        a strided view, so w_e is added to exactly the covering masks with
-        no mask arrays.  Taking the highest agent first gives the largest
-        block the longest contiguous runs.
+        _value_of_mask adds the covered weights in ascending element order
+        from 0.0; every entry here gets the same additions in the same
+        order, so it is the same float.  The table is laid out as rows of
+        2^ROW_BITS masks: a mask's low ROW_BITS agents pick its column and
+        the agents above them its row.
+
+        Lookup: the first j = min(#elements, n - 2, 32) elements come from
+        one table, prefix = fold_subsets(np.add, w[:j]), which holds the
+        ascending sum from 0.0 of every subset of them.  A mask covers the
+        subset that is the OR of its agents' uint32 cover bits, folded once
+        over the low agents (lo, per column) and once over the high ones
+        (hi, per row); entry (row, col) is prefix[hi[row] | lo[col]].  The
+        gather runs GATHER_BLOCK masks at a time.
+
+        Rows: the later elements follow in ascending order, each added
+        once to every mask.  Rows whose high agents include one covering e
+        get w_e; every other row gets the vector of w_e where the column's
+        low agents cover e and 0.0 elsewhere, and adding 0.0 to a sum of
+        nonnegative weights changes nothing.  With one axis per high
+        agent, the covering rows split into one strided view per covering
+        high agent k (bit k set, the covering agents below k clear) and
+        the rest form one more, so every add runs along whole rows.
+
+        Transient memory beside the table: the prefix, at most a quarter
+        of the table (j <= n - 2); one gather block's indices, 768 KB;
+        lo, hi, and one bool per column and later element.
         """
         n = self.n
-        table = np.zeros(1 << n)
-        grid = table.reshape((2,) * n)
-        holders = [[] for _ in self.element_weights]
-        for i, cover in enumerate(self.covers):
-            for e in cover:
-                holders[e].append(i)
-        for w, agents in zip(self.element_weights, holders):
-            index = [slice(None)] * n
-            for k in reversed(agents):
-                index[n - 1 - k] = 1
-                block = grid[(*index, ...)]  # a view even with every axis fixed
-                block += w
-                index[n - 1 - k] = 0
+        w = self.element_weights
+        covered = self._incidence[:, 1:]
+        j = max(0, min(w.size, n - 2, 32))
+        low = min(n, ROW_BITS)
+        bits = (covered[:, :j] << np.arange(j, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+        prefix = fold_subsets(np.add, w[:j])
+        lo = fold_subsets(np.bitwise_or, bits[:low], np.uint32)
+        hi = fold_subsets(np.bitwise_or, bits[low:], np.uint32)
+        table = np.empty(1 << n)
+        rows = table.reshape(hi.size, lo.size)
+        step = max(1, GATHER_BLOCK >> low)
+        for r in range(0, hi.size, step):
+            # every index is below 2^j; "wrap" writes to out unbuffered
+            np.take(prefix, hi[r : r + step, None] | lo, out=rows[r : r + step], mode="wrap")
+        later = covered[:, j:]
+        low_covers = fold_subsets(np.logical_or, later[:low], bool)
+        grid = rows.reshape((2,) * (n - low) + (lo.size,))
+        for e, w_e in enumerate(w[j:]):
+            index = [slice(None)] * (n - low)
+            for k in np.flatnonzero(later[low:, e]).tolist():
+                index[n - low - 1 - k] = 1
+                grid[tuple(index)] += w_e
+                index[n - low - 1 - k] = 0
+            grid[tuple(index)] += np.where(low_covers[:, e], w_e, 0.0)
         return np.clip(table, 0.0, 1.0, out=table)
 
     def descriptor(self) -> dict:

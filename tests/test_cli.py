@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fairpay.cli import main
+from fairpay.cli import _build_parser, main
 
 
 def run(args):
@@ -92,6 +92,26 @@ def test_solve_beta_and_delta_conflict(tmp_path):
         run(["solve", "--in", inst, "--mode", "beta-nd", "--beta", 2,
              "--delta", "0.5", "--method", "brute", "--out", tmp_path / "r.json"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_survives_rejected_argv(tmp_path):
+    """main shares one parser across calls; an argv it rejects (exit 2)
+    leaves nothing behind that changes the next call's parse."""
+    assert _build_parser() is _build_parser()
+    inst = _gen_geo(tmp_path)
+    out = tmp_path / "r.json"
+    for argv in (["solve", "--in", inst, "--beta", 2, "--delta", "0.5", "--out", out],
+                 ["solve", "--in", inst, "--mode", "beta", "--out", out],
+                 ["solve", "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+    assert run(["solve", "--in", inst, "--mode", "nd", "--method", "brute",
+                "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["utility"] == pytest.approx(0.375)
+    assert data["spec"]["mode"] == "nd" and data["spec"]["beta"] is None
 
 
 def test_solve_beta_nd_without_beta(tmp_path, capsys):

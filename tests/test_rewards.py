@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairpay.errors import InvalidSubsetError, ParameterError, SizeLimitError
@@ -242,10 +242,37 @@ def test_value_table_matches_pointwise_eval():
     for f in coverages:
         table = f.value_table()
         assert np.array_equal(table, [f.value(mask) for mask in range(1 << f.n)])
+    # and byte-identical to the strided build it replaced, past one row of
+    # 2^ROW_BITS masks and past one gather block
+    for n in range(1, 19):
+        f = gen_random("coverage", n, seed=n).reward
+        assert f.value_table().tobytes() == _strided_value_table(f).tobytes()
     sym = SymmetricTwoClass(0.4, 0.05, 6)
     table = sym.value_table()
     for mask in range(1 << 7):
         assert table[mask] == pytest.approx(sym.value(mask), abs=1e-12)
+
+
+def _strided_value_table(f):
+    """The strided-block coverage build that the prefix lookup replaced,
+    kept as a reference: element weights in ascending order, each added
+    to one block per agent k covering it (bit k set, the covering agents
+    above k clear), viewed with one axis per agent."""
+    n = f.n
+    table = np.zeros(1 << n)
+    grid = table.reshape((2,) * n)
+    holders = [[] for _ in f.element_weights]
+    for i, cover in enumerate(f.covers):
+        for e in cover:
+            holders[e].append(i)
+    for w, agents in zip(f.element_weights, holders):
+        index = [slice(None)] * n
+        for k in reversed(agents):
+            index[n - 1 - k] = 1
+            block = grid[(*index, ...)]  # a view even with every axis fixed
+            block += w
+            index[n - 1 - k] = 0
+    return np.clip(table, 0.0, 1.0, out=table)
 
 
 def test_as_mask_rejects_bad_indices():
@@ -298,6 +325,36 @@ def test_marginals_equal_marginal_bit_for_bit(f, data):
     assert got.shape == (f.n,)
     assert got.tobytes() == expected.tobytes()
     assert f.marginals(mask_to_indices(mask)).tobytes() == expected.tobytes()
+
+
+@st.composite
+def _coverages(draw):
+    """Coverage rewards with 1..12 agents and 0..70 elements, so that
+    empty covers, uncovered elements, zero weights, fewer elements than
+    agents and more than 32 elements all come up."""
+    n = draw(st.integers(1, 12))
+    size = draw(st.integers(0, 70))
+    weights = _scaled(draw(st.lists(_prob, min_size=size, max_size=size)))
+    elements = st.integers(0, size - 1) if size else st.nothing()
+    covers = draw(st.lists(st.sets(elements, max_size=size), min_size=n, max_size=n))
+    return Coverage(weights, covers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_coverages(), row_bits=st.sampled_from([None, 0, 2]))
+@example(f=Coverage([], [[], []]), row_bits=None)
+@example(f=Coverage([0.0, 0.5, 0.0], [[], [0, 1], [], [2], [1]]), row_bits=0)
+@example(f=Coverage(np.full(40, 0.025), [[0, 39], [], list(range(33)), [35], [31, 32, 33]]),
+         row_bits=2)
+def test_coverage_value_table_matches_pointwise_eval(f, row_bits):
+    """Byte-identical to the clipped pointwise values.  row_bits shrinks
+    ROW_BITS, and GATHER_BLOCK to two rows, so that small tables span
+    many rows and gather blocks, as large ones do."""
+    row_bits = rewards.ROW_BITS if row_bits is None else row_bits
+    with mock.patch.multiple(rewards, ROW_BITS=row_bits, GATHER_BLOCK=2 << row_bits):
+        table = f.value_table()
+    expected = np.array([f.value(mask) for mask in range(1 << f.n)])
+    assert table.tobytes() == expected.tobytes()
 
 
 def test_marginals_clip_like_value():

@@ -16,7 +16,7 @@ from fairpay.contracts import (
     optimal_contract_for_set,
 )
 from fairpay.errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from fairpay.experiments import solve_with
+from fairpay.experiments import random_two_agent_instance, solve_with
 from fairpay.families import (
     gen_geometric_family,
     gen_random,
@@ -500,14 +500,25 @@ def test_log_partition_geometric_guarantee():
     assert part.best().utility >= base.utility / 3 - 1e-9
 
 
-def test_log_partition_guarantee_random_pool():
-    rng = np.random.default_rng(61)
-    kinds = ("additive", "coverage", "capped_additive")
-    for k in range(40):
-        inst = gen_random(kinds[k % 3], int(rng.integers(4, 13)), seed=int(rng.integers(0, 10_000)))
-        base = brute_force(inst, ModeSpec.unconstrained()).best
-        part = log_partition(inst, base.members)
-        assert part.best().utility >= base.utility / part.guarantee_denominator - 1e-9
+# the random kinds verify_bounds draws its lemma2 and lemma6 pools from
+_pool_instances = st.builds(
+    gen_random,
+    st.sampled_from(["additive", "coverage", "capped_additive"]),
+    st.integers(2, 12),
+    st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=_pool_instances)
+def test_log_partition_guarantee_random_pool(inst):
+    """The best uniform-pay group reaches base / guarantee_denominator,
+    within verify_bounds' slack of 1e-9, and is an equilibrium."""
+    base = brute_force(inst, ModeSpec.unconstrained()).best
+    part = log_partition(inst, base.members)
+    best = part.best()
+    assert best.utility >= base.utility / part.guarantee_denominator - 1e-9
+    assert is_equilibrium(inst, best.payments, best.members)
 
 
 def test_log_partition_partitions_base():
@@ -573,16 +584,19 @@ def test_delta_partition_rejects_bad_delta():
             delta_partition(inst, base, bad)
 
 
-def test_delta_partition_guarantee_random_pool():
-    rng = np.random.default_rng(67)
-    kinds = ("additive", "coverage", "capped_additive")
-    for k in range(40):
-        inst = gen_random(kinds[k % 3], int(rng.integers(4, 13)), seed=int(rng.integers(0, 10_000)))
-        base = brute_force(inst, ModeSpec.unconstrained()).best
-        for delta in (0.5, 1.0):
-            part = delta_partition(inst, base.members, delta)
-            bound = (base.utility - inst.n**-delta) / part.guarantee_denominator
-            assert part.best().utility >= bound - 1e-9
+@settings(max_examples=100, deadline=None)
+@given(inst=_pool_instances)
+def test_delta_partition_guarantee_random_pool(inst):
+    """The best threshold group reaches (base - n^-delta) / (t + 1) for
+    delta in {0.5, 1}, within verify_bounds' slack of 1e-9, and is an
+    equilibrium."""
+    base = brute_force(inst, ModeSpec.unconstrained()).best
+    for delta in (0.5, 1.0):
+        part = delta_partition(inst, base.members, delta)
+        best = part.best()
+        assert part.guarantee_denominator == math.ceil(1 / delta) + 1
+        assert best.utility >= (base.utility - inst.n**-delta) / part.guarantee_denominator - 1e-9
+        assert is_equilibrium(inst, best.payments, best.members)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +678,6 @@ def test_two_agent_solve_inactive_constraint():
 
 
 def test_two_agent_solve_matches_brute_force():
-    from fairpay.experiments import random_two_agent_instance
-
     rng = np.random.default_rng(73)
     for _ in range(25):
         inst = random_two_agent_instance(rng)
@@ -674,6 +686,20 @@ def test_two_agent_solve_matches_brute_force():
             slow = brute_force(inst, ModeSpec.beta_nd(beta))
             assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12)
             assert fast.opt_reference == pytest.approx(slow.opt_reference, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(1.0, 1e4)),
+    epsilon=st.one_of(st.just(1e-6), st.floats(1e-12, 0.5)),
+)
+def test_two_agent_winners_are_equilibria(seed, beta, epsilon):
+    """On random two-agent instances and on the tight family at its beta."""
+    random_inst = random_two_agent_instance(np.random.default_rng(seed))
+    for inst in (random_inst, gen_two_agent_tight(beta, epsilon)):
+        best = two_agent_solve(inst, beta).best
+        assert is_equilibrium(inst, best.payments, best.members)
 
 
 def test_two_agent_tie_goes_to_the_smaller_mask():
