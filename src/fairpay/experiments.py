@@ -84,8 +84,9 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     within a group are interchangeable, and lower groups dominate higher
     ones per unit of payment), which brute force confirms is where the
     optimum lives for small m; that holds on this family only, hence the
-    metadata gate.  _class_solve evaluates the n m candidates with O(n m)
-    array work.
+    metadata gate.  _class_solve picks each of the m^2 / 2 blocks' best
+    prefix in closed form: O(m^2) scalar steps plus O(n) to price the
+    winner and the reference.
     """
     r = inst.reward
     if (inst.metadata or {}).get("family") != "geometric" or r.kind != "additive":

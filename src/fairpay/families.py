@@ -31,16 +31,13 @@ def gen_geometric_family(m: int, T: float) -> Instance:
         raise ParameterError(f"m must be at least 1, got {m}")
     if T < 2:
         raise ParameterError(f"T must be at least 2, got {T}")
-    weights = []
-    costs = []
-    for k in range(1, m + 1):
-        size = 1 << (k - 1)
-        weights.extend([1.0 / (m * size)] * size)
-        costs.extend([1.0 / (T * m * m * size * size)] * size)
+    sizes = [1 << k for k in range(m)]
+    weights = [1.0 / (m * size) for size in sizes]
+    costs = [1.0 / (T * m * m * size * size) for size in sizes]
     return Instance(
         n=(1 << m) - 1,
-        costs=np.array(costs),
-        reward=Additive(weights),
+        costs=np.repeat(costs, sizes),
+        reward=Additive(np.repeat(weights, sizes)),
         metadata={"family": "geometric", "m": m, "T": T},
     )
 

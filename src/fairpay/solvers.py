@@ -44,6 +44,8 @@ from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, fold_subsets
 BRUTE_FORCE_LIMIT = EXHAUSTIVE_CHECK_LIMIT
 # masks priced per block by _table_best
 PRICE_BLOCK = 4096
+# 8 units in the last place of 1.0, the unit of _best_count's error bounds
+ULP8 = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -315,6 +317,72 @@ def delta_partition(inst: Instance, base, delta: float) -> PartitionResult:
     return PartitionResult(masks, per_group, t + 1, base_mask)
 
 
+def _reach(a, b, size):
+    """One more than the largest x >= 0 with a x^2 - b x <= 2 (a >= 0),
+    capped at size; size when every x >= 0 qualifies (a = 0 <= b).
+
+    The root is formed without cancellation, and its relative condition
+    number in a, b and the 2 is at most 1, so inputs and steps that each
+    round by a few units in the last place move it by a few units in its
+    last place, which 1 + floor covers for any root below 2^48.
+    """
+    d = math.sqrt(b * b + 8.0 * a)
+    if b < 0:
+        x = 4.0 / (d - b)
+    elif 2.0 * a * size <= b + d:
+        return size
+    else:
+        x = (b + d) / (2.0 * a)
+    return min(size, int(x) + 1)
+
+
+def _best_count(base, rate, value, weight, size):
+    """First count p in 1..size that maximizes the float utility
+    u(p) = (1.0 - (base + p * rate)) * (value + p * weight), and u(p).
+
+    Here A = base, s = rate and V = value are >= 0 and w = weight > 0.
+    The exact U(p) = F(p) G(p), with F = 1 - A - p s and G = V + p w, is a
+    concave quadratic: U(p0 + x) = U(p0) + g x - q x^2, where q = s w and
+    g = w F(p0) - s G(p0).  With u = 2^-53, X = A + size s and Y = V +
+    size w, each step of u(p) rounds by at most u, so the float F is
+    within u (1 + 3X) of F, the float G within 2u Y of G, and u(p) within
+    u Y (4 + 6X) < 8u Y (1 + X) = eps of U(p); the float g is likewise
+    within 5u (w (1 + X) + s Y) < dg of g.  (Underflow adds at most
+    2^-1075 a step, far below eps and dg, as w > MARGINAL_TOL.)
+
+    The first float maximum p* has U(p*) >= u(p*) - eps >= u(p0) - eps >=
+    U(p0) - 2 eps for any p0, so x = p* - p0 solves q x^2 - g x <= 2 eps,
+    an interval.  Bounding g by g + dg to the right of p0 and by g - dg to
+    its left widens it, and _reach solves each side.  p0 is the vertex
+    rounded into 1..size, so the interval is a few counts wide unless U
+    is flat within eps across many counts; at worst, when every count
+    ties within rounding, it is all of 1..size.  The loop scores it in
+    ascending p, and the strict > keeps the first maximum.
+    """
+    tip = 1.0 + base + size * rate  # 1 + X
+    height = value + size * weight  # Y
+    eps = ULP8 * height * tip
+    dg = ULP8 * (weight * tip + rate * height)
+    curve = rate * weight  # q
+    slope = weight * (1.0 - base) - rate * value  # U'(0) = 2 q vertex
+    if slope <= 2.0 * curve:
+        p0 = 1
+    elif slope >= 2.0 * curve * size:
+        p0 = size
+    else:
+        p0 = round(slope / (2.0 * curve))
+    g = weight * (1.0 - (base + p0 * rate)) - rate * (value + p0 * weight)
+    a = curve / eps
+    lo = max(1, p0 - _reach(a, (dg - g) / eps, size))
+    hi = min(size, p0 + _reach(a, (g + dg) / eps, size))
+    best, util = 0, -math.inf
+    for p in range(lo, hi + 1):
+        u = (1.0 - (base + p * rate)) * (value + p * weight)
+        if u > util:
+            best, util = p, u
+    return best, util
+
+
 def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     """Exact optimum over the class candidates of a reward with constant
     marginals, and the unconstrained optimum over them, in one pass.
@@ -325,36 +393,42 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     takes classes L..j-1 whole plus the first p agents of class j.  As in
     optimal_contract_for_set, its top rate must be at most 1, and each
     member is paid max(rate, top / beta), with beta = 1 for nd and
-    beta = inf for unconstrained.  The candidates of a block (L, j) are
-    one array whose size and mask grow with p, so the first maximum wins
-    there; only the block winners get a bitmask and a _rank key.  With k
-    classes this is O(k n) array work plus O(k^3) scalar steps.
+    beta = inf for unconstrained.  Within a block (L, j) the utility is a
+    concave quadratic in p, and _best_count scores only the counts that
+    can be its first float maximum; only the block winners get a bitmask
+    and a _rank key.  The pay of classes L..j-1 is summed afresh only
+    when the floor top / beta rises.  With k classes this is O(k^2)
+    scalar steps (O(k^3) if the top rate rises at most classes, which
+    neither family does) plus the scored counts, and O(n) to price the
+    winner and the reference.
     """
     starts = [0, *itertools.accumulate(sizes)]
     rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
     beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
 
-    def block_winner(util, L, j):
-        """_rank key of block (L, j)'s best candidate, where candidate k
-        takes agents starts[L] .. starts[j] + k."""
-        k = _argbest(util)
-        return _rank(float(util[k]), (1 << (starts[j] + k + 1)) - (1 << starts[L]))
+    def block_winner(L, j, base, rate):
+        """_rank key of block (L, j)'s best candidate, value being the
+        weight of classes L..j-1."""
+        p, util = _best_count(base, rate, value, weights[j], sizes[j])
+        return _rank(util, (1 << (starts[j] + p)) - (1 << starts[L]))
 
     best = ref = _rank(0.0, 0)  # the empty set
     for L in range(len(sizes)):
-        top = value = pay_unc = 0.0  # value and pay_unc: classes L..j-1 whole
+        # value, pay_unc and pay: classes L..j-1 whole
+        top = floor = value = pay_unc = pay = 0.0
         for j in range(L, len(sizes)):
             top = max(top, rates[j])
             if top > 1 + COMPARE_TOL:
                 break  # every later block holds class j too
-            floor = top / beta
-            pay = 0.0  # summed afresh: the floor rises with the top rate
-            for g in range(L, j):
-                pay += sizes[g] * max(rates[g], floor)
-            p = np.arange(1, sizes[j] + 1, dtype=float)
-            val = value + p * weights[j]
-            ref = min(ref, block_winner((1.0 - (pay_unc + p * rates[j])) * val, L, j))
-            best = min(best, block_winner((1.0 - (pay + p * max(rates[j], floor))) * val, L, j))
+            if top / beta != floor:
+                floor = top / beta
+                pay = 0.0  # summed afresh, in the same order
+                for g in range(L, j):
+                    pay += sizes[g] * max(rates[g], floor)
+            elif j > L:
+                pay += sizes[j - 1] * max(rates[j - 1], floor)
+            ref = min(ref, block_winner(L, j, pay_unc, rates[j]))
+            best = min(best, block_winner(L, j, pay, max(rates[j], floor)))
             value += sizes[j] * weights[j]
             pay_unc += sizes[j] * rates[j]
     examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
@@ -371,8 +445,9 @@ def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     identical agents.  The two classes are the special agent and the
     count_b identical ones, so _class_solve's candidates are (special
     agent in or out) x (the t lowest-index identical agents), which covers
-    every distinct utility with the smallest mask.  The scan, the pricing
-    of the winner and the reference are O(n) array operations.
+    every distinct utility with the smallest mask.  The scan takes a few
+    scalar steps per block; pricing the winner and the reference is O(n)
+    array work.
     """
     r = inst.reward
     if r.kind != "symmetric_two_class":
@@ -395,15 +470,17 @@ def two_agent_bound(beta: float) -> float:
 
 def _two_agent_scan(inst: Instance, spec: ModeSpec) -> SolveReport:
     """Exact two-agent optimum under any payment regime: the four sets
-    are priced under spec, and the unconstrained optimum over them is
-    recorded as opt_reference."""
+    are priced under spec and unconstrained from the value table, as in
+    brute_force, so both pick the same sets, and the two winners are
+    priced again with their contracts.  The unconstrained optimum over
+    the four sets is recorded as opt_reference."""
     if inst.n != 2:
         raise SizeLimitError(f"the two-agent solver requires exactly 2 agents, got {inst.n}")
-    outs = [optimal_contract_for_set(inst, mask, spec) for mask in range(4)]
-    refs = [optimal_contract_for_set(inst, mask, ModeSpec.unconstrained()) for mask in range(4)]
-    best = min((o for o in outs if o.feasible), key=lambda o: _rank(o.utility, o.members))
-    ref = max(o.utility for o in refs if o.feasible)
-    return SolveReport(spec, best, "two_agent", 4, ref)
+    masks = np.arange(4)
+    ref, util, popc = _price(inst.reward.value_table(), inst.costs, masks, spec.mode, spec.beta)
+    out = optimal_contract_for_set(inst, _argbest(util, popc), spec)
+    ref_out = optimal_contract_for_set(inst, _argbest(ref, popc), ModeSpec.unconstrained())
+    return SolveReport(spec, out, "two_agent", 4, ref_out.utility)
 
 
 def two_agent_solve(inst: Instance, beta: float) -> SolveReport:

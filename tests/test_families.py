@@ -54,6 +54,26 @@ def test_geometric_family_optimum_at_full_set():
     assert rep.best.utility == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def _geometric_family_lists(m, T):
+    """The per-agent list build gen_geometric_family once used."""
+    weights = []
+    costs = []
+    for k in range(1, m + 1):
+        size = 1 << (k - 1)
+        weights.extend([1.0 / (m * size)] * size)
+        costs.extend([1.0 / (T * m * m * size * size)] * size)
+    return np.array(weights), np.array(costs)
+
+
+def test_geometric_family_matches_the_list_build():
+    for m in range(1, 21):
+        for T in (2, 3, 7.3):
+            inst = gen_geometric_family(m, T)
+            weights, costs = _geometric_family_lists(m, T)
+            assert inst.reward.weights.tobytes() == weights.tobytes()
+            assert inst.costs.tobytes() == costs.tobytes()
+
+
 def test_geometric_family_param_errors():
     with pytest.raises(ParameterError):
         gen_geometric_family(0, 3)

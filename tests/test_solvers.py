@@ -38,6 +38,7 @@ from fairpay.rewards import (
 from fairpay.solvers import (
     SolveReport,
     _argbest,
+    _two_agent_scan,
     brute_force,
     delta_partition,
     log_partition,
@@ -677,15 +678,29 @@ def test_two_agent_solve_inactive_constraint():
     assert rep.opt_reference / rep.best.utility == pytest.approx(1.0, abs=1e-12)
 
 
-def test_two_agent_solve_matches_brute_force():
-    rng = np.random.default_rng(73)
-    for _ in range(25):
-        inst = random_two_agent_instance(rng)
-        for beta in (1.0, 2.0, 4.0):
-            fast = two_agent_solve(inst, beta)
-            slow = brute_force(inst, ModeSpec.beta_nd(beta))
-            assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12)
-            assert fast.opt_reference == pytest.approx(slow.opt_reference, abs=1e-12)
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(1.0, 1e4)),
+)
+def test_two_agent_solve_matches_brute_force(seed, beta):
+    """The same sets, utilities and references, bit for bit, in every mode."""
+    inst = random_two_agent_instance(np.random.default_rng(seed))
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
+        fast = _two_agent_scan(inst, spec)
+        slow = brute_force(inst, spec)
+        assert fast.best.members == slow.best.members
+        assert fast.best.utility == slow.best.utility
+        assert fast.opt_reference == slow.opt_reference
+
+
+def test_two_agent_solve_breaks_the_tight_tie_as_brute_force_does():
+    """At beta = 2, {0} and {0, 1} tie in exact arithmetic, and agent 0's
+    table marginal in {0, 1} is one bit below its weight."""
+    inst = gen_two_agent_tight(2.0)
+    for rep in (two_agent_solve(inst, 2.0), brute_force(inst, ModeSpec.beta_nd(2.0))):
+        assert rep.best.members == 0b01
+        assert rep.best.utility == 0.2886751345948129
 
 
 @settings(max_examples=100, deadline=None)

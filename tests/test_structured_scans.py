@@ -1,20 +1,24 @@
 """symmetric_solve and geometric_solve, which share one class evaluator,
-against the per-candidate loops it replaced, and the large-n scaling gate.
+against the per-candidate loops and the array scorer it replaced, and the
+large-n scaling gates.
 
 The two loop versions below are kept as references: each builds every
 candidate's bitmask as a Python int and folds it in with _better, the
 pairwise comparison the solvers used before their one sort key.  The
 geometric loop takes its groups from metadata["m"], as geometric_solve
-once did.  The array versions must pick the same winners, so every report
-matches exactly: members, utility, payment bytes, opt_reference and
-candidates_examined.
+once did.  _array_class_solve is the class evaluator as it was before it
+picked each block's count in closed form: it scores every count of every
+block as a numpy array.  The evaluator must pick the same winners as all
+three, so every report matches exactly: members, utility, payment bytes,
+opt_reference and candidates_examined.
 """
 
+import itertools
 import math
 import time
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairpay.contracts import (
@@ -27,8 +31,8 @@ from fairpay.contracts import (
 )
 from fairpay.experiments import geometric_solve
 from fairpay.families import gen_geometric_family, gen_two_class
-from fairpay.rewards import SymmetricTwoClass
-from fairpay.solvers import SolveReport, symmetric_solve
+from fairpay.rewards import Additive, SymmetricTwoClass
+from fairpay.solvers import SolveReport, _argbest, _class_solve, _rank, symmetric_solve
 
 R2 = math.sqrt(2.0)
 
@@ -129,6 +133,38 @@ def _geometric_solve_loop(inst, spec):
     return SolveReport(spec, out, "geometric", examined, ref_out.utility)
 
 
+def _array_class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
+    starts = [0, *itertools.accumulate(sizes)]
+    rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
+    beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
+
+    def block_winner(util, L, j):
+        k = _argbest(util)
+        return _rank(float(util[k]), (1 << (starts[j] + k + 1)) - (1 << starts[L]))
+
+    best = ref = _rank(0.0, 0)
+    for L in range(len(sizes)):
+        top = value = pay_unc = 0.0
+        for j in range(L, len(sizes)):
+            top = max(top, rates[j])
+            if top > 1 + COMPARE_TOL:
+                break
+            floor = top / beta
+            pay = 0.0
+            for g in range(L, j):
+                pay += sizes[g] * max(rates[g], floor)
+            p = np.arange(1, sizes[j] + 1, dtype=float)
+            val = value + p * weights[j]
+            ref = min(ref, block_winner((1.0 - (pay_unc + p * rates[j])) * val, L, j))
+            best = min(best, block_winner((1.0 - (pay + p * max(rates[j], floor))) * val, L, j))
+            value += sizes[j] * weights[j]
+            pay_unc += sizes[j] * rates[j]
+    examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
+    out = optimal_contract_for_set(inst, best[2], spec)
+    ref_out = optimal_contract_for_set(inst, ref[2], ModeSpec.unconstrained())
+    return SolveReport(spec, out, method, examined, ref_out.utility)
+
+
 def _assert_same_report(got, want):
     assert got.best.members == want.best.members
     assert got.best.utility == want.best.utility
@@ -213,6 +249,75 @@ def test_geometric_solve_matches_loop(m, T, cost_scale, beta):
         _assert_same_report(geometric_solve(inst, spec), _geometric_solve_loop(inst, spec))
 
 
+@st.composite
+def _class_lists(draw):
+    """k = 1..8 classes (sizes, per-agent weights, costs) of an additive
+    reward whose weights total under 1.
+
+    Each class's rate c / w is random, exactly 1, shared by every "shared"
+    class, above 1 + COMPARE_TOL, or set by a cost as small as Instance
+    allows (subnormal included), and its weight may sit at or below
+    MARGINAL_TOL.  A "flat" class j > 0 has a weight just above
+    MARGINAL_TOL after a class j - 1 that holds most of the value at an
+    affordable rate, and its rate puts the vertex of unconstrained block
+    (j - 1, j) at a drawn count.  There the utility is flat within
+    rounding over several counts.
+    """
+    k = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(13, 3000)),
+                          min_size=k, max_size=k))
+    kinds = draw(st.lists(st.sampled_from(["random", "one", "shared", "above", "tiny", "flat"]),
+                          min_size=k, max_size=k))
+    flat = [j for j in range(1, k) if kinds[j] == "flat"]
+    shares = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    for j in flat:
+        shares[j - 1] = 100.0
+    total = draw(st.floats(0.5, 0.99))
+    shared = draw(st.floats(0.001, 1.0))
+    weights = [total * share / sum(shares) / size for share, size in zip(shares, sizes)]
+    for j in range(k):
+        if j in flat:
+            weights[j] = MARGINAL_TOL * draw(st.floats(1.01, 2.0))
+        elif j + 1 not in flat:
+            weights[j] = draw(st.sampled_from([weights[j]] * 4 + [MARGINAL_TOL, MARGINAL_TOL / 3, 0.0]))
+    costs = []
+    for j, (size, kind, w) in enumerate(zip(sizes, kinds, weights)):
+        if j + 1 in flat:
+            cost = draw(st.floats(0.001, 0.9)) / size * w
+        elif kind in ("random", "flat") and j not in flat:
+            cost = draw(st.floats(0.001, 1.5)) / size * w  # the whole class is paid 0.001 to 1.5
+        elif kind == "one":
+            cost = w
+        elif kind == "shared":
+            cost = shared * w
+        elif kind == "above":
+            cost = draw(st.floats(1 + 2 * COMPARE_TOL, 2.0)) * w
+        elif kind == "tiny":
+            cost = draw(st.one_of(st.just(5e-324), st.floats(5e-324, 1e-290),
+                                  st.floats(1e-20, 1e-12).map(lambda r: r * w)))
+        else:
+            pay = sizes[j - 1] * (costs[j - 1] / weights[j - 1])
+            value = sizes[j - 1] * weights[j - 1]
+            cost = max(1.0 - pay, 0.0) / (value / w + 2 * draw(st.integers(1, size))) * w
+        costs.append(max(cost, 5e-324))
+    return sizes, weights, costs
+
+
+@settings(max_examples=150, deadline=None)
+@given(classes=_class_lists(), beta=st.floats(1.0, 1e4))
+@example(  # flat block (3, 4): its first float maximum is 2 counts off the vertex
+    classes=([1, 1, 1, 1, 3], [0.004807692307692308] * 3 + [0.4807692307692308, 2e-09],
+             [0.004807692307692308] * 3 + [0.2403846153846154, 4.159999896166403e-18]),
+    beta=1.0,
+)
+def test_class_solve_matches_the_array_scorer(classes, beta):
+    sizes, weights, costs = classes
+    inst = Instance(sum(sizes), np.repeat(costs, sizes), Additive(np.repeat(weights, sizes)))
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
+        args = (inst, spec, "classes", sizes, weights, costs)
+        _assert_same_report(_class_solve(*args), _array_class_solve(*args))
+
+
 def test_symmetric_solve_scales_linearly_to_a_million_agents():
     """ROADMAP item 3's gate: lemma9 at n = 10^6, beta = n, in under 1 s.
 
@@ -229,3 +334,21 @@ def test_symmetric_solve_scales_linearly_to_a_million_agents():
     assert elapsed < 1.0, f"symmetric_solve took {elapsed:.2f} s at n = 10^6"
     assert abs(rep.best.utility - target) <= 1e-9
     assert is_equilibrium(inst, rep.best.payments, rep.best.members)
+
+
+def test_geometric_solve_scales_to_a_million_agents():
+    """gen_geometric_family(20, T=3), n = 2^20 - 1, unconstrained, nd and
+    beta = sqrt(n), in under 1 s in all.
+
+    The unconstrained optimum is the full set's 1 - 1/T, and every
+    returned contract is an equilibrium.
+    """
+    inst = gen_geometric_family(20, T=3)
+    specs = (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(math.sqrt(inst.n)))
+    start = time.perf_counter()
+    reps = [geometric_solve(inst, spec) for spec in specs]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"geometric_solve took {elapsed:.2f} s at n = 2^20 - 1"
+    assert abs(reps[0].best.utility - (1 - 1 / 3)) <= 1e-9
+    for rep in reps:
+        assert is_equilibrium(inst, rep.best.payments, rep.best.members)
