@@ -93,15 +93,16 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
         raise StructureError(
             "structured geometric solving needs a geometric-family instance"
         )
-    change = np.diff(np.stack([r.weights, inst.costs]), axis=1) != 0
-    starts = np.flatnonzero(np.concatenate([[True], change.any(axis=0)]))
+    w, c = r.weights, inst.costs
+    change = (w[1:] != w[:-1]) | (c[1:] != c[:-1])
+    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
     sizes = np.diff(starts, append=inst.n).tolist()
     if sizes != [1 << g for g in range(len(sizes))]:
         raise StructureError(
             "geometric solving needs runs of equal weight and cost "
             "of sizes 1, 2, 4, ..."
         )
-    weights, costs = r.weights[starts].tolist(), inst.costs[starts].tolist()
+    weights, costs = w[starts].tolist(), c[starts].tolist()
     return _class_solve(inst, spec, "geometric", sizes, weights, costs)
 
 
@@ -247,13 +248,15 @@ def build_instance(family: str, params: dict, seed: int | None = None) -> Instan
     raise ParameterError(f"unknown family {family!r}")
 
 
-def _sweep_instance(sweep: SweepSpec, value) -> Instance:
+def _sweep_params(sweep: SweepSpec, value) -> dict:
+    """The family parameters of one grid point: a beta or delta grid
+    leaves them as they are, except tight2's beta."""
     params = dict(sweep.params)
     if sweep.grid_param in ("m", "n"):
         params[sweep.grid_param] = int(value)
     elif sweep.grid_param == "beta" and sweep.family == "tight2":
         params["beta"] = float(value)
-    return build_instance(sweep.family, params, sweep.seed)
+    return params
 
 
 def _sweep_point(sweep: SweepSpec, value, inst: Instance) -> RatioRecord:
@@ -282,15 +285,23 @@ def run_sweep(sweep: SweepSpec, out_path=None, workers: int = 1) -> list[RatioRe
 
     Points run one after another in grid order.  workers is accepted for
     compatibility and ignored: the points are GIL-bound Python, and
-    solving them on threads did not pay.  An error record carries the
-    built instance's n, or 0 when the instance itself failed to build.
-    When out_path is given the records are also written as CSV.
+    solving them on threads did not pay.  A point whose family
+    parameters equal the previous point's reuses its instance, so a beta
+    or delta grid builds one instance, and its solves share one value
+    table (rewards.dense_table).  An error record carries the built
+    instance's n, or 0 when the instance itself failed to build.  When
+    out_path is given the records are also written as CSV.
     """
     records = []
+    built = None  # (params, instance) of the last successful build
     for value in sweep.grid_values:
         n = 0
         try:
-            inst = _sweep_instance(sweep, value)
+            params = _sweep_params(sweep, value)
+            if built is None or built[0] != params:
+                built = None  # free the previous instance first
+                built = params, build_instance(sweep.family, params, sweep.seed)
+            inst = built[1]
             n = inst.n
             records.append(_sweep_point(sweep, value, inst))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract

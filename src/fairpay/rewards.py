@@ -454,6 +454,32 @@ class SymmetricTwoClass(RewardFunction):
         }
 
 
+# (reward, its read-only table) of the last dense_table call, or None
+_last_table: tuple[RewardFunction, np.ndarray] | None = None
+
+
+def dense_table(f: RewardFunction) -> np.ndarray:
+    """Read-only value table of f, shared by consecutive callers.
+
+    The table does not depend on costs or pay regime, so the solves of
+    one reward under several modes or betas, and an explicit Instance's
+    structure check before them, read one table.  A single slot holds
+    the last reward asked for, matched by identity and referenced
+    strongly, so its id cannot be reused, and its table; it keeps that
+    table until the next reward is asked for.  The slot is emptied
+    before a new table is built, so at most one table is alive during a
+    build.  The library is single threaded; rewards are immutable.
+    """
+    global _last_table
+    if _last_table is not None and _last_table[0] is f:
+        return _last_table[1]
+    _last_table = None
+    table = f.value_table()
+    table.setflags(write=False)
+    _last_table = (f, table)
+    return table
+
+
 def halves(arr: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     """(without, with) views of an array along one agent's bit of its last
     axis, which is indexed by mask.
@@ -508,10 +534,11 @@ def check_structure(
     """Verify monotonicity and submodularity of a reward function.
 
     Up to exhaustive_limit agents every condition is evaluated on the
-    dense table: monotonicity as f(S + i) >= f(S) for all S and i not in
-    S, and submodularity in its pairwise form f(i | S + j) <= f(i | S) for
-    all S and distinct i, j outside S (equivalent to the nested-sets
-    form).  Agent i's monotonicity compares the two halves of the table
+    dense table, read through dense_table, so a solve of the same reward
+    that follows reuses it: monotonicity as f(S + i) >= f(S) for all S
+    and i not in S, and submodularity in its pairwise form f(i | S + j)
+    <= f(i | S) for all S and distinct i, j outside S (equivalent to the
+    nested-sets form).  Agent i's monotonicity compares the two halves of the table
     along bit i.  The gains f(S + i) - f(S) of a block of agents form one
     array, NaN (so never a violation) where S holds i, and its two halves
     along bit j hold the submodularity conditions of every pair (i, j)
@@ -524,7 +551,7 @@ def check_structure(
     n = f.n
     mono = sub = None
     if n <= exhaustive_limit:
-        table = f.value_table()
+        table = dense_table(f)
         rows = max(1, GAINS_BLOCK >> n)
         found_mono, found_sub = [], []
         for lo in range(0, n, rows):

@@ -39,7 +39,7 @@ from .contracts import (
     optimal_contract_for_set,
 )
 from .errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, fold_subsets
+from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, dense_table, fold_subsets
 
 BRUTE_FORCE_LIMIT = EXHAUSTIVE_CHECK_LIMIT
 # masks priced per block by _table_best
@@ -225,7 +225,9 @@ def brute_force(
     utility, O(2^n) contiguous passes, leaves out the sets that cannot
     win; the s survivors are priced exactly in O(s n) (see _table_best),
     and s is 2^n only when every set ties.  candidates_examined counts
-    all 2^n sets either way.
+    all 2^n sets either way.  The table comes from rewards.dense_table,
+    so consecutive solves of one reward, under any modes and betas,
+    build it once.
     """
     n = inst.n
     if n > limit:
@@ -233,7 +235,7 @@ def brute_force(
             f"brute force over 2^{n} subsets exceeds the limit ({limit}); "
             "use the symmetric or partition methods"
         )
-    best, ref = _table_best(inst.reward.value_table(), inst.costs, spec.mode, spec.beta)
+    best, ref = _table_best(dense_table(inst.reward), inst.costs, spec.mode, spec.beta)
     out = optimal_contract_for_set(inst, best, spec)
     ref_out = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained())
     return SolveReport(spec, out, "brute_force", 1 << n, ref_out.utility)
@@ -395,9 +397,10 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     member is paid max(rate, top / beta), with beta = 1 for nd and
     beta = inf for unconstrained.  Within a block (L, j) the utility is a
     concave quadratic in p, and _best_count scores only the counts that
-    can be its first float maximum; only the block winners get a bitmask
-    and a _rank key.  The pay of classes L..j-1 is summed afresh only
-    when the floor top / beta rises.  With k classes this is O(k^2)
+    can be its first float maximum.  Block winners are ranked by
+    (utility, member count, first member), and only the final winner
+    and reference get a bitmask.  The pay of classes L..j-1 is summed
+    afresh only when the floor top / beta rises.  With k classes this is O(k^2)
     scalar steps (O(k^3) if the top rate rises at most classes, which
     neither family does) plus the scored counts, and O(n) to price the
     winner and the reference.
@@ -407,12 +410,15 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
 
     def block_winner(L, j, base, rate):
-        """_rank key of block (L, j)'s best candidate, value being the
-        weight of classes L..j-1."""
+        """Key of block (L, j)'s best candidate, value being the weight
+        of classes L..j-1: (-utility, member count, first member).  A
+        candidate is a run of consecutive agents, and of two runs of
+        equal length the earlier one has the smaller mask, so the key
+        orders candidates as _rank does."""
         p, util = _best_count(base, rate, value, weights[j], sizes[j])
-        return _rank(util, (1 << (starts[j] + p)) - (1 << starts[L]))
+        return -util, starts[j] - starts[L] + p, starts[L]
 
-    best = ref = _rank(0.0, 0)  # the empty set
+    best = ref = (-0.0, 0, 0)  # the empty set
     for L in range(len(sizes)):
         # value, pay_unc and pay: classes L..j-1 whole
         top = floor = value = pay_unc = pay = 0.0
@@ -432,9 +438,13 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
             value += sizes[j] * weights[j]
             pay_unc += sizes[j] * rates[j]
     examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
-    # a _rank key ends with the mask
-    out = optimal_contract_for_set(inst, best[2], spec)
-    ref_out = optimal_contract_for_set(inst, ref[2], ModeSpec.unconstrained())
+
+    def run_mask(key):
+        _, count, first = key
+        return ((1 << count) - 1) << first
+
+    out = optimal_contract_for_set(inst, run_mask(best), spec)
+    ref_out = optimal_contract_for_set(inst, run_mask(ref), ModeSpec.unconstrained())
     return SolveReport(spec, out, method, examined, ref_out.utility)
 
 
@@ -477,7 +487,7 @@ def _two_agent_scan(inst: Instance, spec: ModeSpec) -> SolveReport:
     if inst.n != 2:
         raise SizeLimitError(f"the two-agent solver requires exactly 2 agents, got {inst.n}")
     masks = np.arange(4)
-    ref, util, popc = _price(inst.reward.value_table(), inst.costs, masks, spec.mode, spec.beta)
+    ref, util, popc = _price(dense_table(inst.reward), inst.costs, masks, spec.mode, spec.beta)
     out = optimal_contract_for_set(inst, _argbest(util, popc), spec)
     ref_out = optimal_contract_for_set(inst, _argbest(ref, popc), ModeSpec.unconstrained())
     return SolveReport(spec, out, "two_agent", 4, ref_out.utility)

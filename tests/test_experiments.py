@@ -1,6 +1,7 @@
 """Harness tests: ratio records, sweeps, CSV round trips, bound suites."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fairpay.experiments import (
     write_csv,
 )
 from fairpay.families import gen_geometric_family, gen_two_agent_tight
-from fairpay.rewards import Additive
+from fairpay.rewards import Additive, Coverage
 from fairpay.solvers import brute_force, two_agent_bound
 from test_structured_scans import _specs
 
@@ -193,6 +194,19 @@ def test_sweep_worker_independence(tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def test_beta_sweep_builds_its_instance_and_table_once():
+    grid = [1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0]
+    sweep = SweepSpec("random-coverage", {"n": 10}, "beta", grid, mode="beta_nd", seed=3)
+    build = Coverage.value_table
+    with mock.patch.object(Coverage, "value_table", autospec=True, side_effect=build) as calls:
+        records = run_sweep(sweep)
+    assert calls.call_count == 1
+    # the same CSV as solving each point on an instance of its own
+    separate = [pond_ratio(build_instance("random-coverage", {"n": 10}, 3), ModeSpec.beta_nd(b))
+                for b in grid]
+    assert records_to_csv(records) == records_to_csv(separate)
+
+
 def test_sweep_point_failure_is_recorded():
     sweep = SweepSpec(
         family="geometric",
@@ -212,7 +226,8 @@ def test_sweep_error_rows_record_the_instance_size():
     symmetric = ("symmetric", "symmetric")  # not a two-class reward: each point fails
     tight = SweepSpec("tight2", {"epsilon": 1e-6}, "beta", [2.0, 3.0], methods=symmetric)
     geometric = SweepSpec("geometric", {"T": 3}, "m", [2, 0, 3], methods=symmetric)
-    for sweep, sizes in ((tight, [2, 2]), (geometric, [3, 0, 7])):
+    unbuilt = SweepSpec("random-coverage", {}, "beta", [1.0, 2.0], seed=3)  # lacks n
+    for sweep, sizes in ((tight, [2, 2]), (geometric, [3, 0, 7]), (unbuilt, [0, 0])):
         records = run_sweep(sweep)
         assert all(r.error is not None for r in records)
         assert [r.n for r in records] == sizes

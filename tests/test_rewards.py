@@ -1,5 +1,6 @@
 """Reward oracle tests: evaluation, marginals, and structure checking."""
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -273,6 +274,52 @@ def _strided_value_table(f):
             block += w
             index[n - 1 - k] = 0
     return np.clip(table, 0.0, 1.0, out=table)
+
+
+def test_dense_table_is_shared_and_read_only():
+    f = gen_random("coverage", 9, seed=2).reward
+    table = rewards.dense_table(f)
+    assert rewards.dense_table(f) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1] = 0.5
+    # the public builder still returns a fresh writable array of the same bytes
+    fresh = f.value_table()
+    assert fresh is not table and fresh is not f.value_table()
+    assert fresh.flags.writeable
+    assert fresh.tobytes() == table.tobytes()
+
+
+def test_dense_table_of_each_new_reward_is_its_own():
+    for kind in ("additive", "coverage", "capped_additive"):
+        for seed in range(4):
+            f = gen_random(kind, 7, seed=seed).reward
+            assert rewards.dense_table(f).tobytes() == f.value_table().tobytes()
+    # the slot holds its reward strongly, so a reward dropped by its caller
+    # cannot die and pass its id on to the next one (b's arguments are made
+    # first, so that b itself would take a's freed memory, and so its id)
+    for k in range(2, 7):
+        a = Coverage([0.125 * k, 0.125], [[0], [1], [0, 1]])
+        a_table = rewards.dense_table(a).tobytes()
+        weights, covers = [0.125, 0.125 * k], [[0], [1], [0, 1]]
+        del a  # freed at once: nothing else refers to it
+        b = Coverage(weights, covers)
+        assert rewards.dense_table(b).tobytes() == b.value_table().tobytes() != a_table
+
+
+def test_dense_table_frees_the_old_table_before_building():
+    a = gen_random("coverage", 10, seed=1).reward
+    b = gen_random("additive", 10, seed=1).reward
+    old = weakref.ref(rewards.dense_table(a))
+    build = Additive.value_table
+
+    def checked_build(self):
+        assert old() is None  # at most one table is alive during a build
+        return build(self)
+
+    with mock.patch.object(Additive, "value_table", checked_build):
+        rewards.dense_table(b)
+    assert old() is None
 
 
 def test_as_mask_rejects_bad_indices():

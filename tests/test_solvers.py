@@ -1,6 +1,7 @@
 """Solver tests: brute force, partitions, and the fast exact paths."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fairpay.contracts import (
     is_equilibrium,
     optimal_contract_for_set,
 )
+from fairpay import rewards
 from fairpay.errors import EmptySetError, ParameterError, SizeLimitError, StructureError
 from fairpay.experiments import random_two_agent_instance, solve_with
 from fairpay.families import (
@@ -119,6 +121,57 @@ def test_brute_force_reports_are_byte_identical_for_any_workers(kind, n, seed, s
     inst = gen_random(kind, n, seed=seed)
     reports = {_report_bytes(brute_force(inst, spec, workers=w)) for w in (1, 2, 3, 7)}
     assert len(reports) == 1
+
+
+_MODES = [ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.5)]
+
+
+def _cold(solve, inst, spec):
+    """solve(inst, spec) with a table built afresh: the shared slot holds
+    another reward's table first."""
+    rewards.dense_table(Additive([0.5]))
+    return _report_bytes(solve(inst, spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "coverage", "capped_additive", "explicit"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+)
+def test_reports_do_not_depend_on_which_solve_built_the_table(kind, n, seed):
+    inst = _random_instance(kind, n, seed)
+    solvers = [brute_force] + ([_two_agent_scan] if n == 2 else [])
+    for solve in solvers:
+        cold = [_cold(solve, inst, spec) for spec in _MODES]
+        for first in _MODES:
+            solve(inst, first)
+            assert [_report_bytes(solve(inst, spec)) for spec in _MODES] == cold
+
+
+def _count_builds(reward_type):
+    build = reward_type.value_table
+    return mock.patch.object(reward_type, "value_table", autospec=True, side_effect=build)
+
+
+def test_consecutive_solves_of_one_reward_build_its_table_once():
+    specs = _MODES + [ModeSpec.beta_nd(4.0)]
+    for inst in (_random_instance("coverage", 10, 5), _random_instance("additive", 10, 5)):
+        rewards.dense_table(Additive([0.5]))
+        with _count_builds(type(inst.reward)) as calls:
+            for spec in specs:
+                brute_force(inst, spec)
+        assert calls.call_count == 1
+    # an explicit table's Instance check shares it with the solves
+    cov = gen_random("coverage", 10, seed=5)
+    with _count_builds(ExplicitTable) as calls:
+        inst = Instance(10, cov.costs, ExplicitTable(10, cov.reward.value_table()))
+        for spec in specs:
+            brute_force(inst, spec)
+        pair = random_two_agent_instance(np.random.default_rng(5))
+        for spec in specs:
+            _two_agent_scan(pair, spec)
+    assert calls.call_count == 2
 
 
 def test_brute_force_matches_per_set_engine_scan():
@@ -632,6 +685,17 @@ def test_symmetric_solve_matches_brute_force(inst, beta):
         slow = brute_force(inst, spec)
         assert fast.best.utility == pytest.approx(slow.best.utility, abs=1e-12)
         assert is_equilibrium(inst, fast.best.payments, fast.best.members)
+
+
+def test_symmetric_solve_breaks_equal_size_ties_toward_the_earlier_run():
+    # the special agent is like the others: every pair pays 0.25 each and
+    # leaves exactly 0.125, so {0, 1} (the special agent's block) ties
+    # {1, 2} (the identical agents' block), and the smaller mask wins
+    inst = Instance(8, np.full(8, 0.03125), SymmetricTwoClass(0.125, 0.125, 7))
+    for spec in _MODES:
+        fast, slow = symmetric_solve(inst, spec), brute_force(inst, spec)
+        assert fast.best.members == slow.best.members == 0b11
+        assert fast.best.utility == slow.best.utility == 0.125
 
 
 def test_symmetric_solve_structure_errors():
