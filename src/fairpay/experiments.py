@@ -19,19 +19,19 @@ import numpy as np
 
 from .contracts import Instance, ModeSpec
 from .contracts import optimal_contract_for_set  # noqa: F401 - bench/tracing.py wraps this name
-from .errors import ParameterError, StructureError
+from .errors import ParameterError
 from .families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
 from .rewards import ExplicitTable
 from .solvers import (
     BRUTE_FORCE_LIMIT,
     SolveReport,
-    _class_solve,
-    _two_agent_scan,
     brute_force,
     delta_partition,
+    geometric_solve,
     log_partition,
     symmetric_solve,
     two_agent_bound,
+    two_agent_exact,
     two_agent_solve,
 )
 
@@ -75,37 +75,6 @@ class RatioRecord:
 METHODS = ("brute", "symmetric", "two_agent", "log_partition", "delta_partition", "geometric")
 
 
-def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
-    """Structured search for geometric-family instances at any size.
-
-    The groups are the additive reward's runs of equal (weight, cost),
-    which must have sizes 1, 2, 4, ...  Candidate sets are unions of
-    consecutive whole groups plus a prefix of the next group (agents
-    within a group are interchangeable, and lower groups dominate higher
-    ones per unit of payment), which brute force confirms is where the
-    optimum lives for small m; that holds on this family only, hence the
-    metadata gate.  _class_solve picks each of the m^2 / 2 blocks' best
-    prefix in closed form: O(m^2) scalar steps plus O(n) to price the
-    winner and the reference.
-    """
-    r = inst.reward
-    if (inst.metadata or {}).get("family") != "geometric" or r.kind != "additive":
-        raise StructureError(
-            "structured geometric solving needs a geometric-family instance"
-        )
-    w, c = r.weights, inst.costs
-    change = (w[1:] != w[:-1]) | (c[1:] != c[:-1])
-    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
-    sizes = np.diff(starts, append=inst.n).tolist()
-    if sizes != [1 << g for g in range(len(sizes))]:
-        raise StructureError(
-            "geometric solving needs runs of equal weight and cost "
-            "of sizes 1, 2, 4, ..."
-        )
-    weights, costs = w[starts].tolist(), c[starts].tolist()
-    return _class_solve(inst, spec, "geometric", sizes, weights, costs)
-
-
 def _default_base(inst: Instance) -> int:
     if inst.n <= BRUTE_FORCE_LIMIT:
         return brute_force(inst, ModeSpec.unconstrained()).best.members
@@ -123,7 +92,7 @@ def solve_with(inst: Instance, spec: ModeSpec, method: str, workers: int = 1) ->
     if method == "symmetric":
         return symmetric_solve(inst, spec)
     if method == "two_agent":
-        return _two_agent_scan(inst, spec)
+        return two_agent_exact(inst, spec)
     if method == "geometric":
         return geometric_solve(inst, spec)
     if method == "log_partition":

@@ -41,31 +41,25 @@ GATHER_BLOCK = 1 << 16
 
 
 def as_mask(subset, n: int) -> int:
-    """Normalize a subset given as a bitmask or an iterable of agent indices."""
+    """Normalize a subset given as a bitmask or an iterable of agent
+    indices, which may repeat, in O(n + len(subset))."""
     if isinstance(subset, (int, np.integer)):
         mask = int(subset)
         if mask < 0 or mask >= (1 << n):
             raise InvalidSubsetError(f"mask {mask} out of range for n={n}")
         return mask
-    mask = 0
+    packed = bytearray((n + 7) // 8)  # little-endian, as mask_to_bools reads
     for i in subset:
         i = int(i)
         if i < 0 or i >= n:
             raise InvalidSubsetError(f"agent index {i} out of range for n={n}")
-        mask |= 1 << i
-    return mask
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
 
 
 def mask_to_indices(mask: int) -> list[int]:
-    """Sorted agent indices contained in a bitmask."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    """Sorted agent indices contained in a bitmask, in O(bit length)."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 def mask_to_bools(mask: int, n: int) -> np.ndarray:

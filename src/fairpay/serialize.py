@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .contracts import Contract, Instance, ModeSpec
+from .contracts import Contract, Instance
 from .errors import ParameterError
 from .experiments import SweepSpec
 from .rewards import as_mask, json_object, read_field, reward_from_descriptor
@@ -93,12 +93,6 @@ def result_contract(data: dict, n: int) -> tuple[Contract, int]:
         )
     members = read_field(data, "set", lambda s: [int(i) for i in s], "result file")
     return Contract(payments), as_mask(members, n)
-
-
-def mode_spec_from_dict(data: dict) -> ModeSpec:
-    mode = data.get("mode", "unconstrained")
-    beta = data.get("beta")
-    return ModeSpec(mode, float(beta) if beta is not None else None)
 
 
 # ---------------------------------------------------------------------------

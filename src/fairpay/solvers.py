@@ -1,15 +1,14 @@
 """Optimizers over incentive sets.
 
 brute_force finds the exact optimum over all 2^n subsets of the dense
-value table: a bound from each agent's singleton rate, built in a few
-contiguous passes, leaves out almost every set, and the few that can win
-are priced exactly (_table_best).
+value table (_table_best), and the two-agent solvers are the same kernel
+at n = 2: at small n every set is priced, and above it a bound from each
+agent's singleton rate leaves out almost every set.
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
-fraction of the base utility.  symmetric_solve and geometric_solve (in
-experiments) are exact fast paths for rewards made of runs of agents with
-equal weight and cost, both evaluated by _class_solve; two_agent_solve
-prices the four sets of a two-agent instance.
+fraction of the base utility.  symmetric_solve and geometric_solve are
+exact fast paths for rewards made of runs of agents with equal weight
+and cost, both evaluated by _class_solve.  Every exact solver ends in _report.
 
 Ties between maximizing sets are always broken toward smaller
 cardinality, then smaller bitmask (_rank), so results are independent of
@@ -44,6 +43,10 @@ from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, dense_table, fold_subsets
 BRUTE_FORCE_LIMIT = EXHAUSTIVE_CHECK_LIMIT
 # masks priced per block by _table_best
 PRICE_BLOCK = 4096
+# _table_best prices every set up to this n, the largest with n 2^n <=
+# PRICE_BLOCK; the bound passes take 143, 109, 142 us at n = 8, 9, 10 and
+# pricing every set 65, 100, 162 us (median, random instances, 2 vCPUs)
+PRICE_ALL_N = 8
 # 8 units in the last place of 1.0, the unit of _best_count's error bounds
 ULP8 = 2.0**-50
 
@@ -144,6 +147,11 @@ def _table_best(table, costs, mode, beta):
     """Best masks for the requested mode and for the unconstrained mode
     over every subset of the dense value table.
 
+    Up to PRICE_ALL_N agents every set is priced in one block, which
+    costs less than the bound passes below: they cost a few passes and
+    two pricings however small the table, while pricing costs n 2^n.
+    _price treats each mask alone, so both ways pick the same sets.
+
     The rewards are submodular, so agent i's marginal in any set is at
     most its singleton marginal plus RATE_TOL, and its payment alpha_i(S)
     is at least its rate r_i = costs[i] / (that marginal + RATE_TOL), bit
@@ -165,6 +173,9 @@ def _table_best(table, costs, mode, beta):
     survivors, and s is 2^n when every set ties.
     """
     n = costs.size
+    if n <= PRICE_ALL_N:
+        ref, util, popc = _price(table, costs, np.arange(table.size), mode, beta)
+        return _argbest(util, popc), _argbest(ref, popc)
     with np.errstate(over="ignore"):
         rates = costs / (table[1 << np.arange(n)] - table[0] + RATE_TOL)
     # a rate above 1 + COMPARE_TOL makes every set holding the agent
@@ -211,6 +222,14 @@ def _table_best(table, costs, mode, beta):
     return int(cand[_argbest(util, popc)]), int(cand[_argbest(ref, popc)])
 
 
+def _report(inst, spec, method, examined, best, ref) -> SolveReport:
+    """Report of an exact solver: its winner mask priced under spec, and
+    the unconstrained optimum, the utility of the mask ref."""
+    out = optimal_contract_for_set(inst, best, spec)
+    ref_out = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained())
+    return SolveReport(spec, out, method, examined, ref_out.utility)
+
+
 def brute_force(
     inst: Instance,
     spec: ModeSpec,
@@ -221,13 +240,13 @@ def brute_force(
 
     workers is accepted for compatibility and ignored: the scan is single
     threaded.  The unconstrained optimum is computed alongside and
-    reported as opt_reference.  A singleton-rate bound on every set's
-    utility, O(2^n) contiguous passes, leaves out the sets that cannot
-    win; the s survivors are priced exactly in O(s n) (see _table_best),
-    and s is 2^n only when every set ties.  candidates_examined counts
-    all 2^n sets either way.  The table comes from rewards.dense_table,
-    so consecutive solves of one reward, under any modes and betas,
-    build it once.
+    reported as opt_reference.  Up to PRICE_ALL_N agents every set is
+    priced; above, a singleton-rate bound on every set's utility, O(2^n)
+    contiguous passes, leaves out the sets that cannot win, and the s
+    survivors are priced exactly in O(s n) (see _table_best); s is 2^n
+    only when every set ties.  candidates_examined counts all 2^n sets
+    either way.  The table comes from rewards.dense_table, so consecutive
+    solves of one reward, under any modes and betas, build it once.
     """
     n = inst.n
     if n > limit:
@@ -236,9 +255,7 @@ def brute_force(
             "use the symmetric or partition methods"
         )
     best, ref = _table_best(dense_table(inst.reward), inst.costs, spec.mode, spec.beta)
-    out = optimal_contract_for_set(inst, best, spec)
-    ref_out = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained())
-    return SolveReport(spec, out, "brute_force", 1 << n, ref_out.utility)
+    return _report(inst, spec, "brute_force", 1 << n, best, ref)
 
 
 def _base_alphas(inst: Instance, base) -> tuple[int, dict[int, float]]:
@@ -443,9 +460,7 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
         _, count, first = key
         return ((1 << count) - 1) << first
 
-    out = optimal_contract_for_set(inst, run_mask(best), spec)
-    ref_out = optimal_contract_for_set(inst, run_mask(ref), ModeSpec.unconstrained())
-    return SolveReport(spec, out, method, examined, ref_out.utility)
+    return _report(inst, spec, method, examined, run_mask(best), run_mask(ref))
 
 
 def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
@@ -471,6 +486,37 @@ def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     return _class_solve(inst, spec, "symmetric", [1, r.count_b], [r.f_a, r.f_b], costs)
 
 
+def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
+    """Structured search for geometric-family instances at any size.
+
+    The groups are the additive reward's runs of equal (weight, cost),
+    which must have sizes 1, 2, 4, ...  Candidate sets are unions of
+    consecutive whole groups plus a prefix of the next group (agents
+    within a group are interchangeable, and lower groups dominate higher
+    ones per unit of payment), which brute force confirms is where the
+    optimum lives for small m; that holds on this family only, hence the
+    metadata gate.  _class_solve picks each of the m^2 / 2 blocks' best
+    prefix in closed form: O(m^2) scalar steps plus O(n) to price the
+    winner and the reference.
+    """
+    r = inst.reward
+    if (inst.metadata or {}).get("family") != "geometric" or r.kind != "additive":
+        raise StructureError(
+            "structured geometric solving needs a geometric-family instance"
+        )
+    w, c = r.weights, inst.costs
+    change = (w[1:] != w[:-1]) | (c[1:] != c[:-1])
+    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+    sizes = np.diff(starts, append=inst.n).tolist()
+    if sizes != [1 << g for g in range(len(sizes))]:
+        raise StructureError(
+            "geometric solving needs runs of equal weight and cost "
+            "of sizes 1, 2, 4, ..."
+        )
+    weights, costs = w[starts].tolist(), c[starts].tolist()
+    return _class_solve(inst, spec, "geometric", sizes, weights, costs)
+
+
 def two_agent_bound(beta: float) -> float:
     """Worst-case utility ratio for two agents: 1 + 1/sqrt(beta + 1)."""
     if beta < 1:
@@ -478,19 +524,14 @@ def two_agent_bound(beta: float) -> float:
     return 1.0 + 1.0 / math.sqrt(beta + 1.0)
 
 
-def _two_agent_scan(inst: Instance, spec: ModeSpec) -> SolveReport:
-    """Exact two-agent optimum under any payment regime: the four sets
-    are priced under spec and unconstrained from the value table, as in
-    brute_force, so both pick the same sets, and the two winners are
-    priced again with their contracts.  The unconstrained optimum over
-    the four sets is recorded as opt_reference."""
+def two_agent_exact(inst: Instance, spec: ModeSpec) -> SolveReport:
+    """Exact two-agent optimum under any payment regime: brute force's
+    kernel over the four sets, so both pick the same sets, reported under
+    the method "two_agent"."""
     if inst.n != 2:
         raise SizeLimitError(f"the two-agent solver requires exactly 2 agents, got {inst.n}")
-    masks = np.arange(4)
-    ref, util, popc = _price(dense_table(inst.reward), inst.costs, masks, spec.mode, spec.beta)
-    out = optimal_contract_for_set(inst, _argbest(util, popc), spec)
-    ref_out = optimal_contract_for_set(inst, _argbest(ref, popc), ModeSpec.unconstrained())
-    return SolveReport(spec, out, "two_agent", 4, ref_out.utility)
+    best, ref = _table_best(dense_table(inst.reward), inst.costs, spec.mode, spec.beta)
+    return _report(inst, spec, "two_agent", 4, best, ref)
 
 
 def two_agent_solve(inst: Instance, beta: float) -> SolveReport:
@@ -500,4 +541,4 @@ def two_agent_solve(inst: Instance, beta: float) -> SolveReport:
     the unconstrained optimum over the same candidates is recorded as
     opt_reference.
     """
-    return _two_agent_scan(inst, ModeSpec.beta_nd(float(beta)))
+    return two_agent_exact(inst, ModeSpec.beta_nd(float(beta)))

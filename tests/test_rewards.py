@@ -1,5 +1,6 @@
 """Reward oracle tests: evaluation, marginals, and structure checking."""
 
+import time
 import weakref
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairpay.contracts import Contract, IncentiveOutcome
 from fairpay.errors import InvalidSubsetError, ParameterError, SizeLimitError
 from fairpay import rewards
 from fairpay.families import gen_geometric_family, gen_random
@@ -328,6 +330,60 @@ def test_as_mask_rejects_bad_indices():
     with pytest.raises(InvalidSubsetError):
         as_mask(16, 4)
     assert as_mask([0, 3], 4) == 0b1001
+    # the first bad index in iteration order is the one named
+    for bad, first in (([2, 7, -1], 7), ((i for i in (1, -3, 9)), -3), (np.array([4]), 4)):
+        with pytest.raises(InvalidSubsetError, match=rf"agent index {first} out of range for n=4"):
+            as_mask(bad, 4)
+
+
+def _loop_indices(mask):
+    """mask_to_indices as a bit-at-a-time loop, the reference."""
+    out, i = [], 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def _loop_mask(indices):
+    """as_mask of an iterable as one shift per index, the reference."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << int(i)
+    return mask
+
+
+def test_mask_helpers_match_bit_loops():
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 130, 1000):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            bits = rng.random(n) < density
+            mask = _loop_mask(np.flatnonzero(bits))
+            indices = mask_to_indices(mask)
+            assert indices == _loop_indices(mask)
+            assert mask_to_indices(np.uint64(mask & (2**64 - 1))) == _loop_indices(mask & (2**64 - 1))
+            # lists, generators and arrays, in any order and with repeats
+            repeated = indices + indices[::-1]
+            for subset in (indices, iter(repeated), np.array(repeated, dtype=np.int64)):
+                assert as_mask(subset, n) == mask
+            assert as_mask(indices, n + 5) == mask
+
+
+def test_mask_helpers_handle_a_million_members_in_under_a_second():
+    n = 10**6
+    outcome = IncentiveOutcome((1 << n) - 1, Contract(np.zeros(n)), 0.0, True)
+    start = time.perf_counter()
+    members = outcome.member_list()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"member_list took {elapsed:.2f} s at 10^6 members"
+    assert members == list(range(n))
+    start = time.perf_counter()
+    mask = as_mask(members, n)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"as_mask took {elapsed:.2f} s at 10^6 indices"
+    assert mask == outcome.members
 
 
 # probabilities with the boundary values drawn often, so that zero

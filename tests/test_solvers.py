@@ -38,9 +38,9 @@ from fairpay.rewards import (
     mask_to_indices,
 )
 from fairpay.solvers import (
+    PRICE_ALL_N,
     SolveReport,
     _argbest,
-    _two_agent_scan,
     brute_force,
     delta_partition,
     log_partition,
@@ -126,6 +126,10 @@ def test_brute_force_reports_are_byte_identical_for_any_workers(kind, n, seed, s
 _MODES = [ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.5)]
 
 
+def _two_agent(inst, spec):
+    return solve_with(inst, spec, "two_agent")
+
+
 def _cold(solve, inst, spec):
     """solve(inst, spec) with a table built afresh: the shared slot holds
     another reward's table first."""
@@ -141,7 +145,7 @@ def _cold(solve, inst, spec):
 )
 def test_reports_do_not_depend_on_which_solve_built_the_table(kind, n, seed):
     inst = _random_instance(kind, n, seed)
-    solvers = [brute_force] + ([_two_agent_scan] if n == 2 else [])
+    solvers = [brute_force] + ([_two_agent] if n == 2 else [])
     for solve in solvers:
         cold = [_cold(solve, inst, spec) for spec in _MODES]
         for first in _MODES:
@@ -170,7 +174,7 @@ def test_consecutive_solves_of_one_reward_build_its_table_once():
             brute_force(inst, spec)
         pair = random_two_agent_instance(np.random.default_rng(5))
         for spec in specs:
-            _two_agent_scan(pair, spec)
+            _two_agent(pair, spec)
     assert calls.call_count == 2
 
 
@@ -306,6 +310,12 @@ def _full_pass_reference(table, costs, mode, beta):
     return select(pay), ref
 
 
+def _bound_passes():
+    """_table_best takes its bound passes at every n, as above PRICE_ALL_N,
+    so that small instances exercise them."""
+    return mock.patch("fairpay.solvers.PRICE_ALL_N", 0)
+
+
 def _reference_report(inst, spec):
     table = inst.reward.value_table()
     best, ref = _full_pass_reference(table, inst.costs, spec.mode, spec.beta)
@@ -399,8 +409,37 @@ def _spec(mode, beta, n):
 )
 def test_bound_scan_matches_full_pass(inst, mode, beta):
     spec = _spec(mode, beta, inst.n)
-    rep = brute_force(inst, spec)
-    assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
+    expected = _report_bytes(_reference_report(inst, spec))
+    assert _report_bytes(brute_force(inst, spec)) == expected
+    with _bound_passes():
+        assert _report_bytes(brute_force(inst, spec)) == expected
+
+
+@pytest.mark.parametrize("n", [PRICE_ALL_N, PRICE_ALL_N + 1])
+def test_pricing_every_set_agrees_with_the_bound_passes_at_the_cut(n):
+    # n = PRICE_ALL_N prices every set by default, n = PRICE_ALL_N + 1
+    # takes the bound passes; each is run both ways
+    instances = [
+        _random_instance(kind, n, seed)
+        for kind in ("additive", "coverage", "capped_additive", "explicit")
+        for seed in range(4)
+    ]
+    # k and k + 1 agents tie exactly, so rounding and the tie-break decide
+    instances += [Instance(n, np.full(n, 0.1 / (2 * k + 1)), Additive(np.full(n, 0.1)))
+                  for k in (1, n // 2)]
+    # {2} ties {0, 1} under nd, as in the tie test below, and wins by size
+    # over the smaller mask; agents 3.. are worth nothing
+    geo, pad = _relabel(gen_geometric_family(2, 2), [1, 2, 0]), n - 3
+    instances.append(Instance(n, np.concatenate([geo.costs, np.full(pad, 0.1)]),
+                              Additive(np.concatenate([geo.reward.weights, np.zeros(pad)]))))
+    assert brute_force(instances[-1], ModeSpec.nd()).best.members == 0b100
+    for inst in instances:
+        for spec in _MODES + [ModeSpec.beta_nd(1.0)]:
+            reports = [_report_bytes(brute_force(inst, spec))]
+            for cut in (0, n):
+                with mock.patch("fairpay.solvers.PRICE_ALL_N", cut):
+                    reports.append(_report_bytes(brute_force(inst, spec)))
+            assert reports[0] == reports[1] == reports[2]
 
 
 def test_bound_scan_breaks_ties_like_full_pass():
@@ -416,9 +455,11 @@ def test_bound_scan_breaks_ties_like_full_pass():
     # the singleton wins although {0, 1} has the smaller mask
     inst = _relabel(gen_geometric_family(2, 2), [1, 2, 0])
     for spec in (ModeSpec.nd(), ModeSpec.beta_nd(1.0)):
-        rep = brute_force(inst, spec)
-        assert rep.best.members == 0b100 and rep.best.utility == 0.375
-        assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
+        with _bound_passes():
+            bound = brute_force(inst, spec)
+        for rep in (brute_force(inst, spec), bound):
+            assert rep.best.members == 0b100 and rep.best.utility == 0.375
+            assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
 
 
 def test_bound_scan_when_rates_or_values_vanish():
@@ -432,7 +473,8 @@ def test_bound_scan_when_rates_or_values_vanish():
     ]
     for inst in cases:
         for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
-            rep = brute_force(inst, spec)
+            with _bound_passes():
+                rep = brute_force(inst, spec)
             assert _report_bytes(rep) == _report_bytes(_reference_report(inst, spec))
     assert brute_force(cases[2], ModeSpec.nd()).best.members == 0
 
@@ -451,7 +493,8 @@ def test_bound_scan_at_a_high_price_of_non_discrimination():
     # floor 0.03 / 1.5): the beta_nd bound must divide by beta
     w = np.array([0.3, 0.2, 0.3, 0.2])
     inst = Instance(4, w * np.array([0.004, 0.7, 0.25, 0.03]), Additive(w))
-    rep = brute_force(inst, ModeSpec.beta_nd(1.5))
+    with _bound_passes():
+        rep = brute_force(inst, ModeSpec.beta_nd(1.5))
     assert rep.best.members == 0b1001 and rep.best.utility == pytest.approx(0.475, abs=1e-15)
     assert _report_bytes(rep) == _report_bytes(_reference_report(inst, ModeSpec.beta_nd(1.5)))
 
@@ -751,11 +794,10 @@ def test_two_agent_solve_matches_brute_force(seed, beta):
     """The same sets, utilities and references, bit for bit, in every mode."""
     inst = random_two_agent_instance(np.random.default_rng(seed))
     for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
-        fast = _two_agent_scan(inst, spec)
-        slow = brute_force(inst, spec)
-        assert fast.best.members == slow.best.members
-        assert fast.best.utility == slow.best.utility
-        assert fast.opt_reference == slow.opt_reference
+        fast = _two_agent(inst, spec)
+        assert _report_bytes(fast) == _report_bytes(brute_force(inst, spec))
+        assert (fast.method, fast.spec) == ("two_agent", spec)
+    assert two_agent_solve(inst, beta).method == "two_agent"
 
 
 def test_two_agent_solve_breaks_the_tight_tie_as_brute_force_does():

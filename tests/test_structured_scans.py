@@ -29,10 +29,16 @@ from fairpay.contracts import (
     is_equilibrium,
     optimal_contract_for_set,
 )
-from fairpay.experiments import geometric_solve
 from fairpay.families import gen_geometric_family, gen_two_class
 from fairpay.rewards import Additive, SymmetricTwoClass
-from fairpay.solvers import SolveReport, _argbest, _class_solve, _rank, symmetric_solve
+from fairpay.solvers import (
+    SolveReport,
+    _argbest,
+    _class_solve,
+    _rank,
+    geometric_solve,
+    symmetric_solve,
+)
 
 R2 = math.sqrt(2.0)
 
