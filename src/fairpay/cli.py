@@ -15,7 +15,7 @@ import sys
 import time
 
 from .contracts import COMPARE_TOL, ModeSpec, effort_gains, is_equilibrium
-from .errors import FairpayError
+from .errors import FairpayError, ParameterError
 from .experiments import build_instance, run_sweep, solve_with
 from .rewards import check_structure, json_object, mask_to_indices, reward_from_descriptor
 from .serialize import (
@@ -217,9 +217,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.delta is not None and args.n is None:
+        raise ParameterError("--delta needs --n")
     if args.beta is None and args.n is None:
         print("bound needs --beta and/or --n [--delta]", file=sys.stderr)
         return 2
+    if args.n is not None and args.n < 1:
+        raise ParameterError(f"n must be at least 1, got {args.n}")
+    if args.delta is not None and not 0 < args.delta <= 1:
+        raise ParameterError(f"delta must lie in (0, 1], got {args.delta:g}")
     if args.beta is not None:
         print(f"two-agent ratio bound at beta={args.beta:g}: {two_agent_bound(args.beta):.12g}")
     if args.n is not None:

@@ -540,8 +540,11 @@ def check_structure(
     witness is the first violation in the order S, then i (monotonicity)
     or (min(i, j), max(i, j), i > j) (submodularity).
     Above the limit a seeded random sample of conditions is checked and
-    the number of checks is reported.
+    the number of checks is reported; samples, when given, must be at
+    least 1.
     """
+    if samples is not None and samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
     n = f.n
     mono = sub = None
     if n <= exhaustive_limit:

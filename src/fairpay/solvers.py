@@ -259,17 +259,21 @@ def brute_force(
 
 
 def _base_alphas(inst: Instance, base) -> tuple[int, dict[int, float]]:
-    """Validate a partition base set and return member payments within it."""
+    """Validate a partition base set and return member payments within it.
+
+    The base is feasible as optimal_contract_for_set decides, from the
+    same one pricing: no member's marginal vanishes and none is paid
+    above 1 + COMPARE_TOL.
+    """
     base_mask = as_mask(base, inst.n)
     if base_mask == 0:
         raise EmptySetError("partition base set must be nonempty")
-    outcome = optimal_contract_for_set(inst, base_mask, ModeSpec.unconstrained())
-    if not outcome.feasible:
-        raise ParameterError(
-            f"base set is not feasible under unconstrained payments "
-            f"({outcome.infeasibility_reason})"
-        )
     members, alphas = _indifference_payments(inst, base_mask)
+    if alphas is None or alphas.max() > 1 + COMPARE_TOL:
+        reason = "zero-marginal" if alphas is None else "payment-above-one"
+        raise ParameterError(
+            f"base set is not feasible under unconstrained payments ({reason})"
+        )
     return base_mask, dict(zip(np.flatnonzero(members).tolist(), alphas.tolist()))
 
 
@@ -355,9 +359,10 @@ def _reach(a, b, size):
     return min(size, int(x) + 1)
 
 
-def _best_count(base, rate, value, weight, size):
+def _best_count(base, rate, value, weight, size, bar):
     """First count p in 1..size that maximizes the float utility
-    u(p) = (1.0 - (base + p * rate)) * (value + p * weight), and u(p).
+    u(p) = (1.0 - (base + p * rate)) * (value + p * weight), and u(p);
+    None, without scoring any count, when every u(p) is below bar.
 
     Here A = base, s = rate and V = value are >= 0 and w = weight > 0.
     The exact U(p) = F(p) G(p), with F = 1 - A - p s and G = V + p w, is a
@@ -367,7 +372,24 @@ def _best_count(base, rate, value, weight, size):
     within u (1 + 3X) of F, the float G within 2u Y of G, and u(p) within
     u Y (4 + 6X) < 8u Y (1 + X) = eps of U(p); the float g is likewise
     within 5u (w (1 + X) + s Y) < dg of g.  (Underflow adds at most
-    2^-1075 a step, far below eps and dg, as w > MARGINAL_TOL.)
+    2^-1075 a step, far below eps and dg, as w > MARGINAL_TOL.  eps and
+    dg as computed are a few ulps below their formulas, and the bounds
+    they cover, here and below, clear them by a quarter.)
+
+    The bar test bounds every u(p) by the block's continuous maximum.
+    The float U'(0) = w (1 - A) - s V is within e = 4u (w (1 + X) + s Y)
+    of the exact one, and 2q and 2q size round by at most 2u relatively.
+    When the vertex is at or below 1 as computed, U'(1) <= e + 2u q, so
+    by concavity U(p) <= U(1) + (e + 2u q)(size - 1) <= U(1) + 2 eps, as
+    w size <= Y and s size <= X; at or above size, U(p) <= U(size) +
+    (e + 4u q size)(size - 1) <= U(size) + 2 eps likewise.  Either way
+    u(p) <= u(end) + 4 eps.  In between, the float U'(0) > 2 q > 0, so
+    w (1 - A) > 0, and M = (w (1 - A) + s V)^2 / (4 s w), the parabola's
+    maximum, is formed from nonnegative terms only: the rounding is
+    relative, nine steps leave the float M' within 10u M of M, and u(p)
+    <= M + eps <= M' (1 + 2 ULP8) + eps as computed.  The last addition
+    rounds monotonically, so a bound whose float is below bar was below
+    it exactly, and every u(p) < bar.
 
     The first float maximum p* has U(p*) >= u(p*) - eps >= u(p0) - eps >=
     U(p0) - 2 eps for any p0, so x = p* - p0 solves q x^2 - g x <= 2 eps,
@@ -386,10 +408,16 @@ def _best_count(base, rate, value, weight, size):
     slope = weight * (1.0 - base) - rate * value  # U'(0) = 2 q vertex
     if slope <= 2.0 * curve:
         p0 = 1
+        top = (1.0 - (base + rate)) * (value + weight) + 4.0 * eps
     elif slope >= 2.0 * curve * size:
         p0 = size
+        top = (1.0 - (base + size * rate)) * (value + size * weight) + 4.0 * eps
     else:
         p0 = round(slope / (2.0 * curve))
+        peak = (weight * (1.0 - base) + rate * value) ** 2 / (4.0 * curve)
+        top = peak * (1.0 + 2.0 * ULP8) + eps
+    if top < bar:
+        return None
     g = weight * (1.0 - (base + p0 * rate)) - rate * (value + p0 * weight)
     a = curve / eps
     lo = max(1, p0 - _reach(a, (dg - g) / eps, size))
@@ -414,26 +442,36 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     member is paid max(rate, top / beta), with beta = 1 for nd and
     beta = inf for unconstrained.  Within a block (L, j) the utility is a
     concave quadratic in p, and _best_count scores only the counts that
-    can be its first float maximum.  Block winners are ranked by
-    (utility, member count, first member), and only the final winner
-    and reference get a bitmask.  The pay of classes L..j-1 is summed
-    afresh only when the floor top / beta rises.  With k classes this is O(k^2)
-    scalar steps (O(k^3) if the top rate rises at most classes, which
-    neither family does) plus the scored counts, and O(n) to price the
-    winner and the reference.
+    can be its first float maximum.  It is given the best utility found
+    so far in its mode, and skips a block whose continuous maximum,
+    with rounding slack, is below it: every count there loses to the
+    best so far, so the winners are a full scan's.  Block winners are
+    ranked by (utility, member count, first member), and only the final
+    winner and reference get a bitmask.  The pay of classes L..j-1 is
+    summed afresh only when the floor top / beta rises.  With k classes
+    this is O(k^2) cap and bar checks (O(k^3) if the top rate rises at
+    most classes, which neither family does), plus the blocks actually
+    scored, and O(n) to price the winner and the reference.  On the
+    geometric family only the first row, L = 0, holds winners, and of
+    the m(m + 1) blocks of both modes 2m are scored (2m + 1 at worst,
+    counted at m = 4..20, T = 2, 3, 10 in three modes).
     """
     starts = [0, *itertools.accumulate(sizes)]
     rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
     beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
 
-    def block_winner(L, j, base, rate):
-        """Key of block (L, j)'s best candidate, value being the weight
-        of classes L..j-1: (-utility, member count, first member).  A
-        candidate is a run of consecutive agents, and of two runs of
-        equal length the earlier one has the smaller mask, so the key
-        orders candidates as _rank does."""
-        p, util = _best_count(base, rate, value, weights[j], sizes[j])
-        return -util, starts[j] - starts[L] + p, starts[L]
+    def block_winner(L, j, base, rate, key):
+        """The smaller of key and the key of block (L, j)'s best
+        candidate, value being the weight of classes L..j-1: (-utility,
+        member count, first member).  A candidate is a run of consecutive
+        agents, and of two runs of equal length the earlier one has the
+        smaller mask, so the key orders candidates as _rank does.  A
+        block whose every utility is below key's is not scored."""
+        found = _best_count(base, rate, value, weights[j], sizes[j], -key[0])
+        if found is None:
+            return key
+        p, util = found
+        return min(key, (-util, starts[j] - starts[L] + p, starts[L]))
 
     best = ref = (-0.0, 0, 0)  # the empty set
     for L in range(len(sizes)):
@@ -450,8 +488,8 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
                     pay += sizes[g] * max(rates[g], floor)
             elif j > L:
                 pay += sizes[j - 1] * max(rates[j - 1], floor)
-            ref = min(ref, block_winner(L, j, pay_unc, rates[j]))
-            best = min(best, block_winner(L, j, pay, max(rates[j], floor)))
+            ref = block_winner(L, j, pay_unc, rates[j], ref)
+            best = block_winner(L, j, pay, max(rates[j], floor), best)
             value += sizes[j] * weights[j]
             pay_unc += sizes[j] * rates[j]
     examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
@@ -470,9 +508,9 @@ def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     identical agents.  The two classes are the special agent and the
     count_b identical ones, so _class_solve's candidates are (special
     agent in or out) x (the t lowest-index identical agents), which covers
-    every distinct utility with the smallest mask.  The scan takes a few
-    scalar steps per block; pricing the winner and the reference is O(n)
-    array work.
+    every distinct utility with the smallest mask.  The scan checks three
+    blocks per mode and scores those that can still win, a few scalar
+    steps each; pricing the winner and the reference is O(n) array work.
     """
     r = inst.reward
     if r.kind != "symmetric_two_class":
@@ -495,9 +533,10 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     within a group are interchangeable, and lower groups dominate higher
     ones per unit of payment), which brute force confirms is where the
     optimum lives for small m; that holds on this family only, hence the
-    metadata gate.  _class_solve picks each of the m^2 / 2 blocks' best
-    prefix in closed form: O(m^2) scalar steps plus O(n) to price the
-    winner and the reference.
+    metadata gate.  _class_solve checks the m(m + 1) / 2 blocks per mode
+    in O(m^2) scalar steps, and picks the best prefix in closed form of
+    only the blocks that can still win, about m per mode, plus O(n) to
+    price the winner and the reference.
     """
     r = inst.reward
     if (inst.metadata or {}).get("family") != "geometric" or r.kind != "additive":

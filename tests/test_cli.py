@@ -320,6 +320,11 @@ def test_check_structure_sample_requires_seed(tmp_path, capsys):
     run(["gen", "lemma9", "--n", 1000, "--epsilon", "1e-6", "--out", inst])
     assert run(["check", "structure", "--in", inst, "--sample", 50]) == 2
     assert run(["check", "structure", "--in", inst, "--sample", 50, "--seed", 1]) == 0
+    capsys.readouterr()
+    for sample in (0, -3):  # zero checks is no pass
+        assert run(["check", "structure", "--in", inst, "--sample", sample, "--seed", 1]) == 2
+        err = capsys.readouterr()
+        assert "pass" not in err.out and "error: samples must be at least 1" in err.err
 
 
 def test_check_equilibrium_on_solver_output(tmp_path, capsys):
@@ -418,6 +423,23 @@ def test_bound_command(capsys):
     out = capsys.readouterr().out
     assert "7" in out and "3" in out
     assert run(["bound"]) == 2
+    capsys.readouterr()
+    bad = (
+        ["--n", 10, "--delta", 0],
+        ["--n", 10, "--delta", -1],
+        ["--n", 10, "--delta", 2],
+        ["--n", 10, "--delta", "nan"],
+        ["--n", 0],
+        ["--n", -5],
+        ["--delta", "0.5"],
+        ["--beta", 3, "--delta", "0.5"],
+    )
+    for argv in bad:
+        assert run(["bound", *argv]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: "), argv
+    assert run(["bound", "--n", 1, "--delta", 1]) == 0
+    assert "threshold partition denominator at delta=1: 2" in capsys.readouterr().out
 
 
 def test_workers_env_default(tmp_path, monkeypatch):

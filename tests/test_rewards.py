@@ -172,6 +172,9 @@ def test_check_structure_size_limit_and_sampling():
     report = check_structure(f, samples=100, seed=3)
     assert report.monotone and report.submodular
     assert report.checks == 200  # one monotone + one submodular condition per sample
+    for samples in (0, -1):  # no check would pass vacuously
+        with pytest.raises(ParameterError, match="samples must be at least 1"):
+            check_structure(f, samples=samples, seed=3)
 
 
 @pytest.mark.parametrize("kind", ["additive", "coverage", "capped_additive"])

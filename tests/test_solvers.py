@@ -634,8 +634,13 @@ def test_log_partition_rejects_bad_base():
     with pytest.raises(EmptySetError):
         log_partition(inst, 0)
     infeasible = Instance(2, np.array([0.9, 0.9]), Additive([0.4, 0.4]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^base set is not feasible under "
+                       r"unconstrained payments \(payment-above-one\)$"):
         log_partition(infeasible, 0b11)
+    idle = Instance(2, np.array([0.1, 0.1]), Additive([0.4, 0.0]))
+    with pytest.raises(ParameterError, match=r"^base set is not feasible under "
+                       r"unconstrained payments \(zero-marginal\)$"):
+        delta_partition(idle, 0b11, 0.5)
 
 
 # ---------------------------------------------------------------------------

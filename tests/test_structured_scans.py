@@ -10,7 +10,9 @@ once did.  _array_class_solve is the class evaluator as it was before it
 picked each block's count in closed form: it scores every count of every
 block as a numpy array.  The evaluator must pick the same winners as all
 three, so every report matches exactly: members, utility, payment bytes,
-opt_reference and candidates_examined.
+opt_reference and candidates_examined.  _best_count's bar, which lets
+the scan skip a block, is checked against the unpruned count, and the
+blocks a geometric solve scores are counted.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +34,12 @@ from fairpay.contracts import (
 )
 from fairpay.families import gen_geometric_family, gen_two_class
 from fairpay.rewards import Additive, SymmetricTwoClass
+from fairpay import solvers
 from fairpay.solvers import (
+    ULP8,
     SolveReport,
     _argbest,
+    _best_count,
     _class_solve,
     _rank,
     geometric_solve,
@@ -316,12 +322,86 @@ def _class_lists(draw):
              [0.004807692307692308] * 3 + [0.2403846153846154, 4.159999896166403e-18]),
     beta=1.0,
 )
+@example(  # an exact tie across blocks: block (0, 1) reaches 0.25 with 5 members, (1, 1) with 4
+    classes=([2, 6], [0.0625, 0.125], [0.00390625, 0.015625]),
+    beta=1.0,
+)
 def test_class_solve_matches_the_array_scorer(classes, beta):
     sizes, weights, costs = classes
     inst = Instance(sum(sizes), np.repeat(costs, sizes), Additive(np.repeat(weights, sizes)))
     for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
         args = (inst, spec, "classes", sizes, weights, costs)
         _assert_same_report(_class_solve(*args), _array_class_solve(*args))
+
+
+@st.composite
+def _blocks(draw):
+    """_best_count's block parameters (base, rate, value, weight, size).
+
+    The rate may be 0 (q = 0), subnormal or up to 1.5.  A "flat" block
+    has a weight just above MARGINAL_TOL beside a value that holds most
+    of the reward, and a rate that puts the vertex at a drawn count, 0
+    and size + 1 included: its utility is flat within rounding over
+    several counts, so the float maximum may sit off the vertex and the
+    vertex may round to the wrong side of an end.
+    """
+    size = draw(st.one_of(st.integers(1, 12), st.integers(13, 3000)))
+    base = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0)))
+    if draw(st.booleans()):  # flat
+        weight = MARGINAL_TOL * draw(st.floats(1.01, 2.0))
+        value = draw(st.floats(0.3, 1.0))
+        base = min(base, draw(st.floats(0.0, 0.9)))
+        vertex = draw(st.integers(0, size + 1))
+        return base, weight * (1.0 - base) / (value + 2 * weight * vertex), value, weight, size
+    weight = draw(st.floats(MARGINAL_TOL * 1.01, 1.0)) / size
+    value = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    rate = draw(st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(0.0, 1.5)))
+    return base, rate, value, weight, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_blocks(), shift=st.sampled_from([0, 1, -1, 2, -2, 8, -8]))
+# block (1, 1) of the classes in test_class_solve_matches_the_array_scorer's
+# tie example: the bar 0.25 is block (0, 1)'s best, 5 members, and this
+# block ties it exactly with 4, so it must be scored to win
+@example(block=(0.0, 0.125, 0.0, 0.125, 6), shift=0)
+def test_best_count_skips_only_blocks_below_the_bar(block, shift):
+    """The bar is the unpruned utility, 1 ulp either side of it (shift
+    +-1), or eps (shift +-2) or 4 eps (shift +-8) either side, eps being
+    _best_count's rounding bound and 4 eps its slack at an end."""
+    base, rate, value, weight, size = block
+    full = _best_count(base, rate, value, weight, size, -math.inf)
+    util = full[1]
+    eps = ULP8 * (value + size * weight) * (1.0 + base + size * rate)
+    if abs(shift) == 1:
+        bar = math.nextafter(util, shift * math.inf)
+    else:
+        bar = util + shift / 2 * eps
+    got = _best_count(base, rate, value, weight, size, bar)
+    assert got == full or (got is None and util < bar)
+
+
+@pytest.mark.parametrize("T", [2.0, 3.0, 10.0])
+def test_class_scan_scores_about_two_blocks_per_group(T, monkeypatch):
+    """On the geometric family only the blocks of the first row can win,
+    and the bar skips the rest: a solve scores at most 3m of its m(m + 1)
+    blocks (2m or 2m + 1 for m = 4..20), counted as two _reach calls per
+    scored block."""
+    calls = 0
+    reach = solvers._reach
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reach(*args)
+
+    monkeypatch.setattr(solvers, "_reach", counted)
+    for m in range(4, 21):
+        inst = gen_geometric_family(m, T)
+        for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(math.sqrt(inst.n))):
+            calls = 0
+            geometric_solve(inst, spec)
+            assert calls // 2 <= 3 * m, (m, spec)
 
 
 def test_symmetric_solve_scales_linearly_to_a_million_agents():
