@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
@@ -26,7 +25,7 @@ from .serialize import (
     save_instance,
     save_report,
 )
-from .solvers import two_agent_bound
+from .solvers import delta_bands, two_agent_bound
 
 FAMILIES = (
     "geometric",
@@ -119,9 +118,6 @@ def cmd_gen(args) -> int:
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-    if args.family.startswith("random-") and "seed" not in params:
-        print("random families require an explicit --seed", file=sys.stderr)
-        return 2
     inst = build_instance(args.family, params)
     save_instance(inst, args.out)
     shown = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
@@ -131,17 +127,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.infile)
-    if args.mode == "beta-nd":
-        if args.beta is None and args.delta is None:
-            print("beta-nd mode needs --beta or --delta", file=sys.stderr)
-            return 2
-        beta = args.beta if args.beta is not None else inst.n**args.delta
-        spec = ModeSpec.beta_nd(beta)
-    else:
-        if args.beta is not None or args.delta is not None:
-            print(f"mode {args.mode} takes neither --beta nor --delta", file=sys.stderr)
-            return 2
-        spec = ModeSpec.unconstrained() if args.mode == "unconstrained" else ModeSpec.nd()
+    try:
+        beta = args.beta if args.delta is None else inst.n**args.delta
+    except OverflowError:
+        raise ParameterError(f"n^delta overflows at delta={args.delta:g}") from None
+    spec = ModeSpec(args.mode.replace("-", "_"), beta)
 
     start = time.perf_counter()
     report = solve_with(inst, spec, METHOD_FLAGS[args.method], workers=args.workers)
@@ -165,12 +155,10 @@ def cmd_check(args) -> int:
         with open(args.infile) as handle:
             data = json_object(json.load(handle), "instance file")
         if "reward" not in data:
-            print("instance file lacks the required key 'reward'", file=sys.stderr)
-            return 2
+            raise ParameterError("instance file lacks the required key 'reward'")
         reward = reward_from_descriptor(data["reward"])
         if args.sample is not None and args.seed is None:
-            print("--sample requires an explicit --seed", file=sys.stderr)
-            return 2
+            raise ParameterError("--sample requires an explicit --seed")
         report = check_structure(reward, samples=args.sample, seed=args.seed)
         if report.monotone and report.submodular:
             print(f"pass: monotone and submodular ({report.checks} checks)")
@@ -185,8 +173,7 @@ def cmd_check(args) -> int:
         return 1
 
     if not args.result:
-        print("equilibrium check needs --result", file=sys.stderr)
-        return 2
+        raise ParameterError("equilibrium check needs --result")
     inst = load_instance(args.infile)
     data = load_result(args.result)
     contract, mask = result_contract(data, inst.n)
@@ -220,18 +207,15 @@ def cmd_bound(args) -> int:
     if args.delta is not None and args.n is None:
         raise ParameterError("--delta needs --n")
     if args.beta is None and args.n is None:
-        print("bound needs --beta and/or --n [--delta]", file=sys.stderr)
-        return 2
+        raise ParameterError("bound needs --beta and/or --n [--delta]")
     if args.n is not None and args.n < 1:
         raise ParameterError(f"n must be at least 1, got {args.n}")
-    if args.delta is not None and not 0 < args.delta <= 1:
-        raise ParameterError(f"delta must lie in (0, 1], got {args.delta:g}")
+    t = delta_bands(args.delta) if args.delta is not None else None
     if args.beta is not None:
         print(f"two-agent ratio bound at beta={args.beta:g}: {two_agent_bound(args.beta):.12g}")
     if args.n is not None:
         print(f"uniform-pay partition denominator at n={args.n}: {args.n.bit_length()}")
-        if args.delta is not None:
-            t = math.ceil(1.0 / args.delta)
+        if t is not None:
             print(
                 f"threshold partition denominator at delta={args.delta:g}: {t + 1} "
                 f"(beta = n^delta = {args.n**args.delta:.6g})"
@@ -250,14 +234,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FairpayError as exc:
+    except (FairpayError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: cannot parse file: {exc}", file=sys.stderr)
         return 2
 
 

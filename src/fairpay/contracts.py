@@ -110,7 +110,7 @@ class ModeSpec:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.mode == "beta_nd":
             if self.beta is None or not self.beta >= 1:
-                raise ParameterError("beta_nd mode requires beta >= 1")
+                raise ParameterError(f"beta_nd mode requires beta >= 1, got {self.beta}")
         elif self.beta is not None:
             raise ParameterError(f"mode {self.mode!r} takes no beta")
 

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .contracts import Instance
+from .contracts import Instance, ModeSpec
 from .errors import ParameterError
 from .rewards import Additive, CappedAdditive, Coverage, SymmetricTwoClass
 
@@ -111,8 +111,7 @@ def gen_two_agent_tight(beta: float, epsilon: float = DEFAULT_EPSILON) -> Instan
     Additive with f(1) = 1/2, c_1 = 1/2 - 1/(2 sqrt(beta+1)),
     f(2) = 1/(2 sqrt(beta+1)), c_2 = eps/(2 sqrt(beta+1)).
     """
-    if beta < 1:
-        raise ParameterError(f"beta must be at least 1, got {beta}")
+    ModeSpec.beta_nd(beta)  # beta >= 1, as every beta_nd solve requires
     if epsilon <= 0:
         raise ParameterError("epsilon must be strictly positive (costs are > 0)")
     root = math.sqrt(beta + 1.0)

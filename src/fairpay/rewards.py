@@ -394,13 +394,14 @@ class ExplicitTable(RewardFunction):
         return {"kind": "explicit", "n": self.n, "table": self.table.tolist()}
 
 
-class SymmetricTwoClass(RewardFunction):
+class SymmetricTwoClass(Additive):
     """Additive reward with one special agent plus count_b identical agents.
 
-    Agent 0 contributes f_a; agents 1..count_b each contribute f_b.  The
-    explicit two-class structure lets solvers enumerate candidates by
-    (special agent in or out, number of identical agents) instead of by
-    subset.
+    Agent 0 contributes f_a; agents 1..count_b each contribute f_b, so the
+    weights are [f_a, f_b, ..., f_b] and Additive's oracles serve it; only
+    value() is evaluated in O(1).  The explicit two-class structure lets
+    solvers enumerate candidates by (special agent in or out, number of
+    identical agents) instead of by subset.
     """
 
     kind = "symmetric_two_class"
@@ -418,26 +419,16 @@ class SymmetricTwoClass(RewardFunction):
         self.f_b = float(f_b)
         self.count_b = int(count_b)
         self.n = self.count_b + 1
+        # the checks above stand for Additive's, which would sum the weights again
+        w = np.full(self.n, self.f_b)
+        w[0] = self.f_a
+        w.setflags(write=False)
+        self.weights = w
 
     def _value_of_mask(self, mask: int) -> float:
         a_in = mask & 1
         t = (mask >> 1).bit_count()
         return a_in * self.f_a + t * self.f_b
-
-    def marginal(self, i: int, subset) -> float:
-        if i < 0 or i >= self.n:
-            raise InvalidSubsetError(f"agent index {i} out of range for n={self.n}")
-        as_mask(subset, self.n)
-        return self.f_a if i == 0 else self.f_b
-
-    def marginals(self, subset) -> np.ndarray:
-        as_mask(subset, self.n)
-        out = np.full(self.n, self.f_b)
-        out[0] = self.f_a
-        return out
-
-    def value_table(self) -> np.ndarray:
-        return _additive_table(self.marginals(0))
 
     def descriptor(self) -> dict:
         return {

@@ -8,7 +8,9 @@ log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
 fraction of the base utility.  symmetric_solve and geometric_solve are
 exact fast paths for rewards made of runs of agents with equal weight
-and cost, both evaluated by _class_solve.  Every exact solver ends in _report.
+and cost, both evaluated by _class_solve; each checks from the
+instance's numbers, never its metadata, that it has its family's shape.
+Every exact solver ends in _report.
 
 Ties between maximizing sets are always broken toward smaller
 cardinality, then smaller bitmask (_rank), so results are independent of
@@ -306,35 +308,49 @@ def log_partition(inst: Instance, base) -> PartitionResult:
     return PartitionResult(masks, per_group, inst.n.bit_length(), base_mask)
 
 
+def delta_bands(delta: float) -> int:
+    """t = ceil(1/delta), the number of payment bands above 1/n of
+    delta_partition; ParameterError unless 0 < delta <= 1 and 1/delta is
+    finite, which a subnormal delta's is not."""
+    if not 0 < delta <= 1 or math.isinf(1.0 / delta):
+        raise ParameterError(f"delta must lie in (0, 1] with 1/delta finite, got {delta:g}")
+    return math.ceil(1.0 / delta)
+
+
 def delta_partition(inst: Instance, base, delta: float) -> PartitionResult:
     """Payment-threshold partition evaluated under the n^delta wage ratio.
 
-    With t = ceil(1/delta), members are bucketed by their in-base payment:
-    below 1/n, then geometric bands of width n^delta up to 1.  Each bucket
-    is priced as a beta-ND contract with beta = n^delta; the best bucket
-    carries at least (base utility - n^-delta) / (t + 1).
+    With t = delta_bands(delta), members are bucketed by their in-base
+    payment a: below 1/n, else in the first band g = 1..t with a <
+    n^(-(t - g) delta), edges that rise by a factor n^delta up to 1, or
+    in band t.  Each bucket is priced as a beta-ND contract with beta =
+    n^delta; the best bucket carries at least (base utility - n^-delta)
+    / (t + 1).  Bisection finds the band a scan over the edges would, as
+    they never fall with g (they could only with n^delta within an ulp
+    of 1, t > 10^15), in O(|base| log t), keeping only nonempty buckets.
     """
-    if not 0 < delta <= 1:
-        raise ParameterError(f"delta must lie in (0, 1], got {delta}")
+    t = delta_bands(delta)
     base_mask, alphas = _base_alphas(inst, base)
     n = inst.n
-    t = math.ceil(1.0 / delta)
     beta = math.exp(delta * math.log(n)) if n > 1 else 1.0
-    uppers = [1.0 / n] + [n ** (-(t + 1 - j) * delta) for j in range(2, t + 2)]
 
-    buckets: list[list[int]] = [[] for _ in range(t + 1)]
+    def band(a):
+        if a < 1.0 / n:
+            return 0
+        lo, hi = 1, t  # a is below band hi's edge, or hi = t
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if a < n ** (-(t - mid) * delta):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    buckets: dict[int, list[int]] = {}
     for i in sorted(alphas):
-        for g, upper in enumerate(uppers):
-            if alphas[i] < upper:
-                buckets[g].append(i)
-                break
-        else:
-            # payments at or above the top band edge (only possible right at
-            # the boundary); fold into the last bucket
-            buckets[-1].append(i)
+        buckets.setdefault(band(alphas[i]), []).append(i)
 
-    groups = [b for b in buckets if b]
-    masks = [as_mask(g, inst.n) for g in groups]
+    masks = [as_mask(buckets[g], n) for g in sorted(buckets)]
     mode = ModeSpec.beta_nd(beta)
     per_group = [optimal_contract_for_set(inst, g, mode) for g in masks]
     return PartitionResult(masks, per_group, t + 1, base_mask)
@@ -527,22 +543,23 @@ def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
 def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     """Structured search for geometric-family instances at any size.
 
-    The groups are the additive reward's runs of equal (weight, cost),
-    which must have sizes 1, 2, 4, ...  Candidate sets are unions of
-    consecutive whole groups plus a prefix of the next group (agents
-    within a group are interchangeable, and lower groups dominate higher
-    ones per unit of payment), which brute force confirms is where the
-    optimum lives for small m; that holds on this family only, hence the
-    metadata gate.  _class_solve checks the m(m + 1) / 2 blocks per mode
-    in O(m^2) scalar steps, and picks the best prefix in closed form of
-    only the blocks that can still win, about m per mode, plus O(n) to
-    price the winner and the reference.
+    The groups are the additive reward's runs of equal (weight, cost).
+    Candidate sets are unions of consecutive whole groups plus a prefix
+    of the next group (agents within a group are interchangeable, and
+    lower groups dominate higher ones per unit of payment), which brute
+    force confirms is where the optimum lives for small m; that holds on
+    the family only, so the runs must have its shape, checked in O(m):
+    sizes s_k = 1, 2, 4, ..., w_k s_k == 1 / m and c_k s_k^2 == c_0, which
+    hold bit for bit, s_k being powers of two, on every
+    gen_geometric_family(m, T) and any positive rescale of its costs.
+    _class_solve checks the m(m + 1) / 2 blocks per mode in O(m^2)
+    scalar steps, and picks the best prefix in closed form of only the
+    blocks that can still win, about m per mode, plus O(n) to price the
+    winner and the reference.
     """
     r = inst.reward
-    if (inst.metadata or {}).get("family") != "geometric" or r.kind != "additive":
-        raise StructureError(
-            "structured geometric solving needs a geometric-family instance"
-        )
+    if r.kind != "additive":
+        raise StructureError(f"geometric solving needs an additive reward, got {r.kind}")
     w, c = r.weights, inst.costs
     change = (w[1:] != w[:-1]) | (c[1:] != c[:-1])
     starts = np.concatenate([[0], np.flatnonzero(change) + 1])
@@ -553,13 +570,18 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
             "of sizes 1, 2, 4, ..."
         )
     weights, costs = w[starts].tolist(), c[starts].tolist()
+    share = 1.0 / len(sizes)
+    if any(wk * s != share or ck * s**2 != costs[0] for wk, ck, s in zip(weights, costs, sizes)):
+        raise StructureError(
+            "geometric solving needs the geometric family's runs: weights "
+            "1 / (m 2^k) and costs c_0 / 4^k"
+        )
     return _class_solve(inst, spec, "geometric", sizes, weights, costs)
 
 
 def two_agent_bound(beta: float) -> float:
     """Worst-case utility ratio for two agents: 1 + 1/sqrt(beta + 1)."""
-    if beta < 1:
-        raise ParameterError(f"beta must be at least 1, got {beta}")
+    ModeSpec.beta_nd(beta)  # beta >= 1, as every beta_nd solve requires
     return 1.0 + 1.0 / math.sqrt(beta + 1.0)
 
 

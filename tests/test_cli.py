@@ -1,10 +1,13 @@
 """CLI tests: commands, exit codes, and file outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from fairpay.cli import _build_parser, main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run(args):
@@ -34,7 +37,8 @@ def test_gen_random_deterministic(tmp_path):
 
 def test_gen_random_requires_seed(tmp_path, capsys):
     assert run(["gen", "random-additive", "--n", 5, "--out", tmp_path / "x.json"]) == 2
-    assert "seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_gen_bad_params_exit_2(tmp_path, capsys):
@@ -116,8 +120,25 @@ def test_parser_is_built_once_and_survives_rejected_argv(tmp_path):
 
 def test_solve_beta_nd_without_beta(tmp_path, capsys):
     inst = _gen_geo(tmp_path)
+    capsys.readouterr()
     assert run(["solve", "--in", inst, "--mode", "beta-nd", "--method", "brute",
                 "--out", tmp_path / "r.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: beta_nd mode requires beta >= 1")
+
+
+def test_solve_mode_and_beta_disagree(tmp_path, capsys):
+    """A beta or delta for another mode, a beta below 1 and an n^delta
+    past the float range each exit 2 with one error line."""
+    inst = _gen_geo(tmp_path)
+    out = tmp_path / "r.json"
+    for args in (["--mode", "nd", "--beta", 2],
+                 ["--mode", "unconstrained", "--delta", "0.5"],
+                 ["--mode", "beta-nd", "--beta", "nan"],
+                 ["--mode", "beta-nd", "--delta", "-1"],
+                 ["--mode", "beta-nd", "--delta", "1e6"]):
+        assert run(["solve", "--in", inst, "--method", "brute", "--out", out, *args]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists(), args
 
 
 def test_solve_oversized_brute_exit_2(tmp_path, capsys):
@@ -190,7 +211,8 @@ def test_instance_file_missing_key_exit_2(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
     if key == "reward":
         assert run(["check", "structure", "--in", inst]) == 2
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
     # a reward descriptor without its parameters is reported the same way
     data = {**data, "reward": {"kind": "additive"}}
     inst.write_text(json.dumps(data))
@@ -264,16 +286,23 @@ def _geometric_file(tmp_path, edit):
     return path
 
 
-@pytest.mark.parametrize("m", [None, 3, 5])
-def test_geometric_method_reads_groups_from_the_weights(tmp_path, m):
-    """A geometric file with no "m", or a wrong one, solves to the
-    brute-force optimum: the groups are the reward's runs."""
-    def set_m(data):
-        del data["metadata"]["m"]
-        if m is not None:
-            data["metadata"]["m"] = m
+@pytest.mark.parametrize("metadata", [
+    {"family": "geometric", "T": 3},
+    {"family": "geometric", "m": 3, "T": 3},
+    {"family": "geometric", "m": 5, "T": 3},
+    {"family": "lemma9"},
+    None,
+], ids=["None", "3", "5", "other-family", "no-metadata"])
+def test_geometric_method_reads_groups_from_the_weights(tmp_path, metadata):
+    """A geometric file with no "m", a wrong one, another family's label
+    or no metadata at all solves to the brute-force optimum: the groups
+    and the family's shape are read from the reward's runs."""
+    def set_metadata(data):
+        del data["metadata"]
+        if metadata is not None:
+            data["metadata"] = metadata
 
-    inst = _geometric_file(tmp_path, set_m)
+    inst = _geometric_file(tmp_path, set_metadata)
     for mode in (["unconstrained"], ["nd"], ["beta-nd", "--beta", 4]):
         results = []
         for method in ("geometric", "brute"):
@@ -294,6 +323,21 @@ def test_geometric_method_rejects_broken_doubling_runs(tmp_path, capsys):
     assert run(["solve", "--in", inst, "--mode", "nd", "--method", "geometric",
                 "--out", tmp_path / "r.json"]) == 2
     assert "sizes 1, 2, 4" in capsys.readouterr().err
+
+
+def test_geometric_method_rejects_a_labeled_file_off_the_family(tmp_path, capsys):
+    """The fixture's runs have sizes 1, 2, 4 and its metadata claims the
+    geometric family, but its weights and costs are not the family's;
+    the class scan would return {0} at 0.38, where brute force finds
+    {0, 3} at 0.4."""
+    inst = FIXTURES / "geometric_label_off_family.json"
+    out = tmp_path / "r.json"
+    assert run(["solve", "--in", inst, "--method", "geometric", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "geometric family's runs" in err and not out.exists()
+    assert run(["solve", "--in", inst, "--method", "brute", "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["set"] == [0, 3] and data["utility"] == pytest.approx(0.4)
 
 
 def test_check_structure_pass(tmp_path, capsys):
@@ -319,6 +363,7 @@ def test_check_structure_sample_requires_seed(tmp_path, capsys):
     inst = tmp_path / "big.json"
     run(["gen", "lemma9", "--n", 1000, "--epsilon", "1e-6", "--out", inst])
     assert run(["check", "structure", "--in", inst, "--sample", 50]) == 2
+    assert capsys.readouterr().err == "error: --sample requires an explicit --seed\n"
     assert run(["check", "structure", "--in", inst, "--sample", 50, "--seed", 1]) == 0
     capsys.readouterr()
     for sample in (0, -3):  # zero checks is no pass
@@ -369,15 +414,20 @@ def test_check_equilibrium_report_uses_the_equilibrium_gains(tmp_path, capsys):
     assert [int(line.split()[2]) for line in lines] == [1, 2]
 
 
-def test_check_equilibrium_needs_result(tmp_path):
+def test_check_equilibrium_needs_result(tmp_path, capsys):
     inst = _gen_geo(tmp_path)
+    capsys.readouterr()
     assert run(["check", "equilibrium", "--in", inst]) == 2
+    assert capsys.readouterr().err == "error: equilibrium check needs --result\n"
 
 
-def test_check_parse_error_exit_2(tmp_path):
+def test_check_parse_error_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    assert run(["check", "structure", "--in", broken]) == 2
+    for path in (broken, tmp_path / "missing.json"):
+        assert run(["check", "structure", "--in", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -422,8 +472,6 @@ def test_bound_command(capsys):
     assert run(["bound", "--n", 100, "--delta", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "7" in out and "3" in out
-    assert run(["bound"]) == 2
-    capsys.readouterr()
     bad = (
         ["--n", 10, "--delta", 0],
         ["--n", 10, "--delta", -1],
@@ -431,8 +479,12 @@ def test_bound_command(capsys):
         ["--n", 10, "--delta", "nan"],
         ["--n", 0],
         ["--n", -5],
+        ["--n", 10, "--delta", "5e-324"],
         ["--delta", "0.5"],
         ["--beta", 3, "--delta", "0.5"],
+        ["--beta", "nan"],
+        ["--beta", "0.5"],
+        [],
     )
     for argv in bad:
         assert run(["bound", *argv]) == 2, argv

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpay.contracts import Instance, ModeSpec, is_equilibrium
-from fairpay.errors import ParameterError
+from fairpay.errors import ParameterError, StructureError
 from fairpay.experiments import (
     CSV_COLUMNS,
     SweepSpec,
@@ -111,11 +111,16 @@ def test_solve_with_partition_methods():
 )
 def test_geometric_solve_matches_brute_force_small_m(m, T, cost_scale, beta):
     """The consecutive-groups restriction is exact where brute force can
-    check it, with scaled costs (the leading groups unaffordable) and with
-    every rate at exactly 1, and the winner is an equilibrium."""
+    check it, with scaled costs (the leading groups unaffordable), and the
+    winner is an equilibrium.  Costs equal to weights, every rate exactly
+    1, are outside the family for m > 1 and rejected."""
     inst = gen_geometric_family(m, T)
     costs = np.array(inst.reward.weights) if cost_scale == "rate-one" else inst.costs * cost_scale
     inst = Instance(inst.n, costs, inst.reward, inst.metadata)
+    if cost_scale == "rate-one" and m > 1:
+        with pytest.raises(StructureError):
+            geometric_solve(inst, ModeSpec.nd())
+        return
     for spec in _specs(inst.n, beta):
         fast = geometric_solve(inst, spec)
         slow = brute_force(inst, spec)
@@ -124,11 +129,31 @@ def test_geometric_solve_matches_brute_force_small_m(m, T, cost_scale, beta):
 
 
 def test_geometric_solve_rejects_other_instances():
-    from fairpay.errors import StructureError
     from fairpay.families import gen_random
 
     with pytest.raises(StructureError):
         geometric_solve(gen_random("additive", 5, seed=1), ModeSpec.nd())
+
+
+@pytest.mark.parametrize("inst, brute_set", [
+    # doubling runs of other weights, labeled geometric
+    (Instance(7, np.repeat([0.02, 0.03, 0.015], [1, 2, 4]),
+              Additive(np.repeat([0.4, 0.05, 0.1], [1, 2, 4])), {"family": "geometric"}),
+     [0, 3]),
+    # the family's weights with other per-group costs
+    (Instance(7, np.repeat([0.098, 0.168, 0.01], [1, 2, 4]),
+              gen_geometric_family(3, 3).reward, gen_geometric_family(3, 3).metadata),
+     [0, 3]),
+])
+def test_geometric_solve_rejects_labeled_instances_off_the_family(inst, brute_set):
+    """Doubling runs outside the family, whose consecutive-group
+    candidates miss brute force's optimum ({0} against {0, 3}
+    unconstrained, here), raise StructureError whatever the metadata
+    says."""
+    assert brute_force(inst, ModeSpec.unconstrained()).best.member_list() == brute_set
+    for spec in _specs(inst.n, 2.0):
+        with pytest.raises(StructureError, match="geometric family's runs"):
+            geometric_solve(inst, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,9 @@ def test_tight_pair_unconstrained_payments_and_utility():
 
 
 def test_tight_pair_param_errors():
-    with pytest.raises(ParameterError):
-        gen_two_agent_tight(0.5)
+    for bad in (0.5, float("nan")):
+        with pytest.raises(ParameterError, match="beta >= 1"):
+            gen_two_agent_tight(bad)
     with pytest.raises(ParameterError):
         gen_two_agent_tight(2.0, epsilon=0.0)
 

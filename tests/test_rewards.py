@@ -46,6 +46,20 @@ def test_empty_set_is_zero_for_all_kinds():
         assert f.value(0) == 0.0
 
 
+def test_two_class_is_additive_over_its_weight_vector():
+    """A two-class reward holds the weights [f_a, f_b, ...] and answers
+    Additive's oracles from them, with the values its own formulas gave;
+    value() stays its O(1) count, and its descriptor and kind are its own."""
+    f = SymmetricTwoClass(0.4, 0.05, 6)
+    assert isinstance(f, Additive) and f.kind == "symmetric_two_class"
+    assert f.weights.tolist() == [0.4] + [0.05] * 6 and not f.weights.flags.writeable
+    for mask in (0, 0b1, 0b1010110, 0b1111111):
+        assert f.marginals(mask).tobytes() == np.array([0.4] + [0.05] * 6).tobytes()
+        assert [f.marginal(i, mask) for i in range(7)] == [0.4] + [0.05] * 6
+        assert f.value(mask) == (mask & 1) * 0.4 + (mask >> 1).bit_count() * 0.05
+    assert f.descriptor() == {"kind": "symmetric_two_class", "f_a": 0.4, "f_b": 0.05, "count_b": 6}
+
+
 def test_geometric_family_singleton_value():
     inst = gen_geometric_family(2, 2)
     assert inst.reward.value([0]) == pytest.approx(0.5)  # group-1 agent
@@ -231,7 +245,7 @@ def test_value_table_matches_pointwise_eval():
     for f in (gen_random("additive", 12, seed=5).reward, SymmetricTwoClass(0.3, 0.05, 11),
               CappedAdditive(np.full(12, 0.1), 0.75)):
         former = np.zeros(1)
-        for w in f.marginals(0) if f.kind == "symmetric_two_class" else f.weights:
+        for w in f.weights:
             former = np.concatenate([former, former + w])
         cap = getattr(f, "cap", 1.0)
         assert f.value_table().tobytes() == np.clip(former, 0.0, cap).tobytes()

@@ -1,6 +1,7 @@
 """Solver tests: brute force, partitions, and the fast exact paths."""
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -681,9 +682,59 @@ def test_delta_partition_delta_one_two_groups():
 def test_delta_partition_rejects_bad_delta():
     inst = gen_random("additive", 5, seed=4)
     base = brute_force(inst, ModeSpec.unconstrained()).best.members
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ParameterError):
+    for bad in (0.0, -0.5, 1.5, math.nan, 5e-324):  # 1/5e-324 overflows
+        with pytest.raises(ParameterError, match="delta must lie in"):
             delta_partition(inst, base, bad)
+
+
+def _scan_bands(alphas, n, delta):
+    """delta_partition's groups as a scan over all t + 1 band edges found
+    them, in O(t) memory and O(|base| t) time, kept as the reference."""
+    t = math.ceil(1.0 / delta)
+    uppers = [1.0 / n] + [n ** (-(t + 1 - j) * delta) for j in range(2, t + 2)]
+    buckets = [[] for _ in range(t + 1)]
+    for i in sorted(alphas):
+        for g, upper in enumerate(uppers):
+            if alphas[i] < upper:
+                buckets[g].append(i)
+                break
+        else:
+            buckets[-1].append(i)
+    return [as_mask(b, n) for b in buckets if b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    delta=st.one_of(st.sampled_from([1.0, 0.5, 1 / 3, 0.3, 0.1]), st.floats(1e-3, 1.0)),
+    data=st.data(),
+)
+def test_delta_partition_bands_match_a_scan_over_every_edge(n, delta, data):
+    """In-base payments drawn at every band edge, one ulp either side of
+    it, at 1/n, at and above 1, and in between land in the scan's groups."""
+    t = math.ceil(1.0 / delta)
+    edges = [1.0 / n] + [n ** (-(t - g) * delta) for g in range(1, t + 1)]
+    near = [0.0, 1.0 + COMPARE_TOL] + [x for e in edges for x in
+                                       (e, math.nextafter(e, 0.0), math.nextafter(e, 2.0))]
+    payment = st.one_of(st.sampled_from(near), st.floats(0.0, 1.0))
+    alphas = {i: data.draw(payment) for i in range(n)}
+    inst = gen_random("additive", n, seed=n)
+    with mock.patch("fairpay.solvers._base_alphas", return_value=((1 << n) - 1, alphas)):
+        part = delta_partition(inst, (1 << n) - 1, delta)
+    assert part.groups == _scan_bands(alphas, n, delta)
+    assert part.guarantee_denominator == t + 1
+
+
+def test_delta_partition_tiny_delta_is_fast():
+    """t = 10^12 bands above 1/n: each member's band costs O(log t)
+    powers and only the nonempty buckets are held."""
+    inst = gen_random("additive", 64, seed=3)
+    start = time.perf_counter()
+    part = delta_partition(inst, (1 << 64) - 1, 1e-12)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"delta_partition took {elapsed:.2f} s at delta = 1e-12"
+    assert part.guarantee_denominator == 10**12 + 1
+    assert sum(part.groups) == (1 << 64) - 1 and len(part.groups) <= 64
 
 
 @settings(max_examples=100, deadline=None)
@@ -764,8 +815,9 @@ def test_two_agent_bound_values():
     assert two_agent_bound(3.0) == pytest.approx(1.5)
     assert two_agent_bound(1.0) == pytest.approx(1 + 1 / R2)
     assert two_agent_bound(1e12) == pytest.approx(1.0, abs=1e-5)
-    with pytest.raises(ParameterError):
-        two_agent_bound(0.5)
+    for bad in (0.5, math.nan):  # nan fails beta >= 1 as it fails beta < 1
+        with pytest.raises(ParameterError, match="beta >= 1"):
+            two_agent_bound(bad)
 
 
 def test_two_agent_solve_tight_instances():

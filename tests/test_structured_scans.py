@@ -1,6 +1,6 @@
 """symmetric_solve and geometric_solve, which share one class evaluator,
-against the per-candidate loops and the array scorer it replaced, and the
-large-n scaling gates.
+against the per-candidate loops and the array scorer it replaced,
+geometric_solve's shape check, and the large-n scaling gates.
 
 The two loop versions below are kept as references: each builds every
 candidate's bitmask as a Python int and folds it in with _better, the
@@ -12,16 +12,19 @@ block as a numpy array.  The evaluator must pick the same winners as all
 three, so every report matches exactly: members, utility, payment bytes,
 opt_reference and candidates_examined.  _best_count's bar, which lets
 the scan skip a block, is checked against the unpruned count, and the
-blocks a geometric solve scores are counted.
+blocks a geometric solve scores are counted.  The shape check reads no
+metadata: it passes the family with any cost scale, metadata or none,
+and rejects doubling runs off the family that claim it.
 """
 
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairpay.contracts import (
@@ -33,6 +36,7 @@ from fairpay.contracts import (
     optimal_contract_for_set,
 )
 from fairpay.families import gen_geometric_family, gen_two_class
+from fairpay.errors import StructureError
 from fairpay.rewards import Additive, SymmetricTwoClass
 from fairpay import solvers
 from fairpay.solvers import (
@@ -249,16 +253,74 @@ def test_symmetric_solve_matches_loop_on_the_lemma_families():
 )
 def test_geometric_solve_matches_loop(m, T, cost_scale, beta):
     """Scaled costs make the leading groups unaffordable (the scan skips
-    them); costs equal to weights put every rate at exactly 1, so every
-    utility ties the empty set's 0."""
+    them).  Costs equal to weights, which put every rate at exactly 1,
+    leave the family for m > 1 (c_k 4^k = 2^k / m is not c_0), so the
+    gate rejects them; the ties with the empty set that they made are
+    drawn by _class_lists' "one" classes."""
     inst = gen_geometric_family(m, T)
     if cost_scale == "rate-one":
         costs = np.array(inst.reward.weights)
     else:
         costs = inst.costs * cost_scale
     inst = Instance(inst.n, costs, inst.reward, inst.metadata)
+    if cost_scale == "rate-one" and m > 1:
+        with pytest.raises(StructureError, match="geometric family's runs"):
+            geometric_solve(inst, ModeSpec.nd())
+        return
     for spec in _specs(inst.n, beta):
         _assert_same_report(geometric_solve(inst, spec), _geometric_solve_loop(inst, spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 20),
+    T=st.floats(2.0, 1e6),
+    cost_scale=st.floats(1e-3, 1e3),
+    metadata=st.booleans(),
+)
+def test_geometric_gate_accepts_the_family(m, T, cost_scale, metadata):
+    """gen_geometric_family(m, T), with any cost scale and with or without
+    its metadata, passes the shape check: the runs reach the class scan,
+    stubbed here so that only the gate runs at every m."""
+    inst = gen_geometric_family(m, T)
+    inst = Instance(inst.n, inst.costs * cost_scale, inst.reward,
+                    inst.metadata if metadata else None)
+    with mock.patch.object(solvers, "_class_solve", return_value="scanned") as scan:
+        assert geometric_solve(inst, ModeSpec.nd()) == "scanned"
+    *_, sizes, weights, costs = scan.call_args.args
+    assert sizes == [1 << k for k in range(m)]
+    assert weights == [1.0 / (m * s) for s in sizes]
+    assert costs == (inst.costs[np.array(sizes) - 1]).tolist()
+
+
+@st.composite
+def _doubling_runs_off_the_family(draw):
+    """Additive instances of m = 2..4 runs of sizes 1, 2, 4, ... that
+    claim the geometric family in their metadata but lie outside it:
+    the family's weights or random ones, with the family's costs c_0 /
+    4^k or random rates, but not both from the family."""
+    m = draw(st.integers(2, 4))
+    sizes = [1 << k for k in range(m)]
+    weights = family_weights = [1.0 / (m * s) for s in sizes]
+    if draw(st.booleans()):
+        shares = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+        weights = [share / sum(shares) / s for share, s in zip(shares, sizes)]
+    if draw(st.booleans()):
+        costs = [draw(st.floats(0.01, 1.2)) * w for w in weights]
+    else:
+        costs = [draw(st.floats(0.001, 0.1)) / s**2 for s in sizes]
+    # only a coincidence lands a draw in the family
+    assume(weights != family_weights or any(c * s**2 != costs[0] for c, s in zip(costs, sizes)))
+    metadata = gen_geometric_family(m, 3.0).metadata
+    return Instance((1 << m) - 1, np.repeat(costs, sizes), Additive(np.repeat(weights, sizes)),
+                    metadata)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=_doubling_runs_off_the_family())
+def test_geometric_gate_rejects_doubling_runs_off_the_family(inst):
+    with pytest.raises(StructureError, match="geometric family's runs"):
+        geometric_solve(inst, ModeSpec.nd())
 
 
 @st.composite
