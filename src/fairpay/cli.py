@@ -2,7 +2,8 @@
 
 Commands: gen | solve | check | sweep | bound.  Exit codes are stable for
 scripting: 0 success, 1 check/sweep failures, 2 usage or parameter
-errors, 3 degenerate solutions (only the empty set is worth incentivizing).
+errors and files that cannot be read or written, 3 degenerate solutions
+(only the empty set is worth incentivizing).
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FairpayError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FairpayError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

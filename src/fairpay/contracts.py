@@ -16,6 +16,7 @@ The principal's utility is (1 - total payment) * f(S).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,8 @@ class Contract:
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """Payment regime selector: unconstrained, nd, or beta_nd with beta >= 1."""
+    """Payment regime selector: unconstrained, nd, or beta_nd with a
+    finite beta >= 1."""
 
     mode: str
     beta: float | None = None
@@ -109,8 +111,8 @@ class ModeSpec:
         if self.mode not in ("unconstrained", "nd", "beta_nd"):
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.mode == "beta_nd":
-            if self.beta is None or not self.beta >= 1:
-                raise ParameterError(f"beta_nd mode requires beta >= 1, got {self.beta}")
+            if self.beta is None or not 1 <= self.beta < math.inf:
+                raise ParameterError(f"beta_nd mode requires beta >= 1 and finite, got {self.beta}")
         elif self.beta is not None:
             raise ParameterError(f"mode {self.mode!r} takes no beta")
 

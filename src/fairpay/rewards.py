@@ -123,6 +123,29 @@ class RewardFunction(ABC):
         )
         return np.clip(table, 0.0, 1.0)
 
+    def values(self, masks) -> np.ndarray:
+        """f of each mask in an integer array of any shape, bit for bit
+        value_table()[masks], without building the table."""
+        masks = np.asarray(masks)
+        if masks.size and (
+            masks.dtype.kind not in "iu" or masks.min() < 0 or masks.max() >= 1 << self.n
+        ):
+            raise InvalidSubsetError(f"masks must be integers in [0, 2^{self.n})")
+        return self._oracle(min(self.n, ROW_BITS))[0](masks.astype(np.int64))
+
+    def _oracle(self, k: int):
+        """(values, rows): values maps an int64 array of masks to f of
+        each, and rows maps an int64 array of r row indices to the r x 2^k
+        array value_table().reshape(-1, 1 << k)[rows], both bit for bit
+        value_table()'s entries.  They hold the lookup tables that takes,
+        so that a caller valuing many batches builds them once."""
+
+        def values(masks):
+            flat = np.fromiter(map(self._value_of_mask, masks.ravel().tolist()), float, masks.size)
+            return np.clip(flat, 0.0, 1.0).reshape(masks.shape)
+
+        return values, lambda hs: values(hs[:, None] << k | np.arange(1 << k))
+
     @abstractmethod
     def descriptor(self) -> dict:
         """JSON-serializable description (see the instance file format)."""
@@ -160,6 +183,41 @@ def _additive_table(weights: np.ndarray, cap: float = 1.0) -> np.ndarray:
     return np.clip(table, 0.0, cap, out=table)
 
 
+def _add_where(out, masks, agents, weights):
+    """Add to out, in order, each weight where the mask holds one of its
+    agents (an int64 bitmask) and 0.0 elsewhere, which leaves a
+    nonnegative sum as it is, so that out sums in the order of weights;
+    masks and out are 1-d.  The 0/weight terms are laid out as one row
+    per weight, GATHER_BLOCK of them at a time."""
+    step = max(1, GATHER_BLOCK // max(1, weights.size))
+    for lo in range(0, masks.size, step):
+        terms = np.where(masks[lo : lo + step] & agents[:, None] != 0, weights[:, None], 0.0)
+        for term in terms:
+            out[lo : lo + step] += term
+    return out
+
+
+def _additive_oracle(weights: np.ndarray, k: int, cap: float = 1.0):
+    """RewardFunction._oracle of _additive_table: the sums of the agents
+    below k are looked up in their fold, which goes on over the higher
+    agents in agent order, adding each weight where the mask or the row
+    holds the agent, as adding 0.0 to a nonnegative sum changes nothing."""
+    head = fold_subsets(np.add, weights[:k])
+    high = 1 << np.arange(k, weights.size)
+
+    def values(masks):
+        out = _add_where(head[masks.ravel() & (head.size - 1)], masks.ravel(), high, weights[k:])
+        return np.clip(out, 0.0, cap, out=out).reshape(masks.shape)
+
+    def rows(hs):
+        out = np.tile(head, (hs.size, 1))
+        for i in range(k, weights.size):
+            np.add(out, weights[i], out=out, where=hs[:, None] >> (i - k) & 1 != 0)
+        return np.clip(out, 0.0, cap, out=out)
+
+    return values, rows
+
+
 class Additive(RewardFunction):
     """f(S) = sum of per-agent success weights; weights must total at most 1."""
 
@@ -189,6 +247,9 @@ class Additive(RewardFunction):
     def value_table(self) -> np.ndarray:
         return _additive_table(self.weights)
 
+    def _oracle(self, k: int):
+        return _additive_oracle(self.weights, k)
+
     def descriptor(self) -> dict:
         return {"kind": "additive", "weights": self.weights.tolist()}
 
@@ -212,6 +273,9 @@ class CappedAdditive(RewardFunction):
 
     def value_table(self) -> np.ndarray:
         return _additive_table(self.weights, self.cap)
+
+    def _oracle(self, k: int):
+        return _additive_oracle(self.weights, k, self.cap)
 
     def descriptor(self) -> dict:
         return {
@@ -288,6 +352,20 @@ class Coverage(RewardFunction):
         f_S, others = values[0], values[1:]
         return np.where(members, f_S - others, others - f_S)
 
+    def _lookup(self, low: int):
+        """(prefix, lo, hi, w_later, later) of the prefix lookup below,
+        with low agents per column: the weights of the elements after the
+        first j, and their columns of the agent x element incidence."""
+        n = self.n
+        w = self.element_weights
+        covered = self._incidence[:, 1:]
+        j = max(0, min(w.size, n - 2, 32))
+        bits = (covered[:, :j] << np.arange(j, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+        prefix = fold_subsets(np.add, w[:j])
+        lo = fold_subsets(np.bitwise_or, bits[:low], np.uint32)
+        hi = fold_subsets(np.bitwise_or, bits[low:], np.uint32)
+        return prefix, lo, hi, w[j:], covered[:, j:]
+
     def value_table(self) -> np.ndarray:
         """Dense table of f, bit for bit equal to the pointwise evaluation.
 
@@ -319,24 +397,17 @@ class Coverage(RewardFunction):
         lo, hi, and one bool per column and later element.
         """
         n = self.n
-        w = self.element_weights
-        covered = self._incidence[:, 1:]
-        j = max(0, min(w.size, n - 2, 32))
         low = min(n, ROW_BITS)
-        bits = (covered[:, :j] << np.arange(j, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
-        prefix = fold_subsets(np.add, w[:j])
-        lo = fold_subsets(np.bitwise_or, bits[:low], np.uint32)
-        hi = fold_subsets(np.bitwise_or, bits[low:], np.uint32)
+        prefix, lo, hi, w_later, later = self._lookup(low)
         table = np.empty(1 << n)
         rows = table.reshape(hi.size, lo.size)
         step = max(1, GATHER_BLOCK >> low)
         for r in range(0, hi.size, step):
             # every index is below 2^j; "wrap" writes to out unbuffered
             np.take(prefix, hi[r : r + step, None] | lo, out=rows[r : r + step], mode="wrap")
-        later = covered[:, j:]
         low_covers = fold_subsets(np.logical_or, later[:low], bool)
         grid = rows.reshape((2,) * (n - low) + (lo.size,))
-        for e, w_e in enumerate(w[j:]):
+        for e, w_e in enumerate(w_later):
             index = [slice(None)] * (n - low)
             for k in np.flatnonzero(later[low:, e]).tolist():
                 index[n - low - 1 - k] = 1
@@ -344,6 +415,31 @@ class Coverage(RewardFunction):
                 index[n - low - 1 - k] = 0
             grid[tuple(index)] += np.where(low_covers[:, e], w_e, 0.0)
         return np.clip(table, 0.0, 1.0, out=table)
+
+    def _oracle(self, k: int):
+        """RewardFunction._oracle of value_table: the prefix lookup with k
+        agents per column, then each later element's weight added, in
+        ascending order, where one of the mask's agents covers it.  A row
+        adds w_e whole when its high agents cover e, and else the vector
+        of w_e where the column's low agents cover e and 0.0 elsewhere."""
+        prefix, lo, hi, w_later, later = self._lookup(k)
+        covers = (later.T << np.arange(self.n)).sum(axis=1)
+        adds = np.where(fold_subsets(np.logical_or, later[:k], bool).T, w_later[:, None], 0.0)
+
+        def values(masks):
+            flat = masks.ravel()
+            out = _add_where(prefix[hi[flat >> k] | lo[flat & (lo.size - 1)]], flat, covers, w_later)
+            return np.clip(out, 0.0, 1.0, out=out).reshape(masks.shape)
+
+        def rows(hs):
+            out = prefix[hi[hs][:, None] | lo]
+            high = hs[:, None] & covers >> k != 0
+            for e, w_e in enumerate(w_later.tolist()):
+                np.add(out, w_e, out=out, where=high[:, e, None])
+                np.add(out, adds[e], out=out, where=~high[:, e, None])
+            return np.clip(out, 0.0, 1.0, out=out)
+
+        return values, rows
 
     def descriptor(self) -> dict:
         return {
@@ -389,6 +485,9 @@ class ExplicitTable(RewardFunction):
 
     def value_table(self) -> np.ndarray:
         return self.table.copy()
+
+    def _oracle(self, k: int):
+        return self.table.__getitem__, self.table.reshape(-1, 1 << k).__getitem__
 
     def descriptor(self) -> dict:
         return {"kind": "explicit", "n": self.n, "table": self.table.tolist()}
@@ -439,30 +538,90 @@ class SymmetricTwoClass(Additive):
         }
 
 
-# (reward, its read-only table) of the last dense_table call, or None
-_last_table: tuple[RewardFunction, np.ndarray] | None = None
+class TableRows:
+    """A reward's value table as 2^(n - k) rows of 2^k masks: the agents
+    below k pick a mask's column and the others its row, so row h holds f
+    of the masks h << k | l, l < 2^k, bit for bit the entries of
+    value_table().reshape(-1, 1 << k)[h].  Each row is valued the first
+    time it is asked for, and kept.  With k = n the one row is the whole
+    table, built by value_table(), read-only, and kept as table.
+    """
+
+    def __init__(self, f: RewardFunction, k: int):
+        self.f, self.k = f, k
+        if k == f.n:
+            self.table = f.value_table()
+            self.table.setflags(write=False)
+            self._data = self.table[None]
+            self._where = np.zeros(1, np.intp)
+            self.valued = 1
+            return
+        self._values, self._rows = f._oracle(k)
+        self._where = np.full(1 << (f.n - k), -1, np.intp)  # position in _data
+        self._data = np.empty((0, 1 << k))
+        self.valued = 0  # rows valued so far, the first ones of _data
+
+    def rows(self, hs: np.ndarray) -> np.ndarray:
+        """The r x 2^k values of the rows hs, valuing those not yet kept;
+        with k = n, row [0] is a read-only view of the whole table."""
+        if self.k == self.f.n and hs.size == 1:
+            return self._data  # hs is [0], the only row
+        new = np.unique(hs[self._where[hs] < 0])
+        if new.size:
+            end = self.valued + new.size
+            if end > len(self._data):
+                size = max(end, min(2 * len(self._data), self._where.size))
+                grown = np.empty((size, 1 << self.k))
+                grown[: self.valued] = self._data[: self.valued]
+                self._data = grown
+            self._data[self.valued : end] = self._rows(new)
+            self._where[new] = np.arange(self.valued, end)
+            self.valued = end
+        return self._data[self._where[hs]]
+
+    def values(self, masks: np.ndarray) -> np.ndarray:
+        """f of each mask in an int64 array, read from the kept rows where
+        they hold it and valued alone elsewhere."""
+        if self.k == self.f.n:
+            return self.table[masks]
+        pos = self._where[masks >> self.k]
+        kept = pos >= 0
+        out = np.empty(masks.shape)
+        col = masks[kept] & ((1 << self.k) - 1)
+        out[kept] = self._data[pos[kept], col]
+        out[~kept] = self._values(masks[~kept])
+        return out
+
+
+# the TableRows of the last table_rows call, or None
+_last_rows: TableRows | None = None
+
+
+def table_rows(f: RewardFunction, k: int) -> TableRows:
+    """f's value table in rows of 2^k masks, shared by consecutive callers.
+
+    The values do not depend on costs or pay regime, so the solves of
+    one reward under several modes or betas, and an explicit Instance's
+    structure check before them, read one table, or the rows of it that
+    any of them valued.  A single slot holds the rows last asked for,
+    matched by the reward's identity, referenced strongly so that its id
+    cannot be reused, and by k; it keeps them until other rows are asked
+    for.  The slot is emptied before new rows are made, so at most one
+    table is alive while one is built.  The library is single threaded;
+    rewards are immutable.
+    """
+    global _last_rows
+    if _last_rows is not None and _last_rows.f is f and _last_rows.k == k:
+        return _last_rows
+    _last_rows = None
+    _last_rows = TableRows(f, k)
+    return _last_rows
 
 
 def dense_table(f: RewardFunction) -> np.ndarray:
-    """Read-only value table of f, shared by consecutive callers.
-
-    The table does not depend on costs or pay regime, so the solves of
-    one reward under several modes or betas, and an explicit Instance's
-    structure check before them, read one table.  A single slot holds
-    the last reward asked for, matched by identity and referenced
-    strongly, so its id cannot be reused, and its table; it keeps that
-    table until the next reward is asked for.  The slot is emptied
-    before a new table is built, so at most one table is alive during a
-    build.  The library is single threaded; rewards are immutable.
-    """
-    global _last_table
-    if _last_table is not None and _last_table[0] is f:
-        return _last_table[1]
-    _last_table = None
-    table = f.value_table()
-    table.setflags(write=False)
-    _last_table = (f, table)
-    return table
+    """Read-only value table of f, shared by consecutive callers through
+    table_rows: its one row of 2^n masks."""
+    return table_rows(f, f.n).table
 
 
 def halves(arr: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:

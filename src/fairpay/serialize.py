@@ -9,6 +9,7 @@ exactly (Python's default float repr is shortest-exact).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -45,10 +46,37 @@ def instance_from_dict(data: dict) -> Instance:
     )
 
 
-def save_instance(inst: Instance, path) -> None:
+def _dumps(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2) nested level deep, byte for byte.
+
+    Dicts with string keys and lists are laid out here, one item per
+    line; a flat list of ints, or of finite floats, is joined from their
+    reprs, as json writes them, instead of passing the pure-Python
+    encoder item by item.  Anything else goes to json.dumps and is
+    indented to its level: json escapes newlines inside strings, so each
+    line break it writes starts a line of its layout.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = (json.dumps(key) + ": " + _dumps(item, level + 1) for key, item in value.items())
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if type(value) is list and value:
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {float} and all(map(math.isfinite, value)):
+            items = map(kinds.pop().__repr__, value)
+        else:
+            items = (_dumps(item, level + 1) for item in value)
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _save(data: dict, path) -> None:
     with open(path, "w") as handle:
-        json.dump(instance_to_dict(inst), handle, indent=2)
-        handle.write("\n")
+        handle.write(_dumps(data) + "\n")
+
+
+def save_instance(inst: Instance, path) -> None:
+    _save(instance_to_dict(inst), path)
 
 
 def load_instance(path) -> Instance:
@@ -71,9 +99,7 @@ def report_to_dict(report: SolveReport, timing_ms: float | None = None) -> dict:
 
 
 def save_report(report: SolveReport, path, timing_ms: float | None = None) -> None:
-    with open(path, "w") as handle:
-        json.dump(report_to_dict(report, timing_ms), handle, indent=2)
-        handle.write("\n")
+    _save(report_to_dict(report, timing_ms), path)
 
 
 def load_result(path) -> dict:
@@ -124,23 +150,22 @@ def parse_sweep_config(text: str) -> SweepSpec:
         raise ParameterError("sweep config needs a family")
     if "grid" not in entries:
         raise ParameterError("sweep config needs a grid parameter")
-    values_raw = entries.get("values", "")
-    grid_values = [float(v) for v in values_raw.split(",") if v.strip()]
+    def number(key, convert):
+        """The entry, removed and converted; ParameterError naming the key
+        if convert rejects it."""
+        return read_field({key: entries.pop(key)}, key, convert, "sweep config")
+
+    def floats(raw):
+        return [float(v) for v in raw.split(",") if v.strip()]
 
     family = entries.pop("family")
     grid = entries.pop("grid")
-    entries.pop("values", None)
+    grid_values = number("values", floats) if "values" in entries else []
     mode = entries.pop("mode", "beta_nd" if grid in ("beta", "delta") else "nd").replace("-", "_")
     method_opt = entries.pop("method_opt", "brute").replace("-", "_")
     method_nd = entries.pop("method_nd", "brute").replace("-", "_")
-    seed = int(entries.pop("seed")) if "seed" in entries else None
-
-    params: dict = {}
-    for key, value in entries.items():
-        try:
-            params[key] = float(value)
-        except ValueError:
-            raise ParameterError(f"parameter {key!r} is not numeric: {value!r}") from None
+    seed = number("seed", int) if "seed" in entries else None
+    params = {key: number(key, float) for key in list(entries)}
 
     return SweepSpec(
         family=family,

@@ -1,9 +1,12 @@
 """Optimizers over incentive sets.
 
-brute_force finds the exact optimum over all 2^n subsets of the dense
-value table (_table_best), and the two-agent solvers are the same kernel
-at n = 2: at small n every set is priced, and above it a bound from each
-agent's singleton rate leaves out almost every set.
+brute_force finds the exact optimum over all 2^n subsets (_table_best),
+and the two-agent solvers are the same kernel at n = 2: at small n every
+set is priced, and above it a bound from each agent's singleton rate
+leaves out almost every set.  From SPLIT_N agents on, the value table is
+split into rows by the upper half of the agents; a bound on each row,
+from the lower half's Pareto frontier (a meet in the middle), leaves out
+most rows before they are valued, and no 2^n array is built.
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
 fraction of the base utility.  symmetric_solve and geometric_solve are
@@ -40,7 +43,7 @@ from .contracts import (
     optimal_contract_for_set,
 )
 from .errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from .rewards import EXHAUSTIVE_CHECK_LIMIT, as_mask, dense_table, fold_subsets
+from .rewards import EXHAUSTIVE_CHECK_LIMIT, STRUCT_TOL, as_mask, fold_subsets, table_rows
 
 BRUTE_FORCE_LIMIT = EXHAUSTIVE_CHECK_LIMIT
 # masks priced per block by _table_best
@@ -49,6 +52,16 @@ PRICE_BLOCK = 4096
 # PRICE_BLOCK; the bound passes take 143, 109, 142 us at n = 8, 9, 10 and
 # pricing every set 65, 100, 162 us (median, random instances, 2 vCPUs)
 PRICE_ALL_N = 8
+# _table_best splits the table into rows of 2^ceil(n/2) masks from this n
+# on, and builds no 2^n array.  An nd and then a beta_nd(2) solve of one
+# random instance took, with one row against the split (ms, median of 8
+# processes x 8 instances, 2 vCPUs): coverage 2.36 / 2.38 and additive
+# 0.88 / 1.46 at n = 16, 3.47 / 2.69 and 1.66 / 1.53 at n = 17, 6.17 /
+# 3.30 and 2.50 / 1.62 at n = 18; at n = 17 the split's beta_nd solve is
+# the slower one (0.58 against 0.46 ms on additive)
+SPLIT_N = 18
+# masks valued and bounded per batch of rows by _table_best
+ROW_BLOCK = 1 << 14
 # 8 units in the last place of 1.0, the unit of _best_count's error bounds
 ULP8 = 2.0**-50
 
@@ -110,11 +123,11 @@ def _argbest(util, popc=None):
     return int(cand[popc[cand].argmin()])
 
 
-def _price(table, costs, masks, mode, beta):
+def _price(values, costs, masks, mode, beta):
     """Unconstrained and mode utilities of the given masks, and their
-    member counts, -inf for an infeasible set.
+    member counts, -inf for an infeasible set; values(masks) is f of each.
 
-    Agent i's payment in S is costs[i] / (table[S] - table[S - i]); S is
+    Agent i's payment in S is costs[i] / (f(S) - f(S - i)); S is
     infeasible when a member's marginal is at most MARGINAL_TOL or its
     top payment exceeds 1 + COMPARE_TOL.  The unconstrained and beta_nd
     payments, max(alpha_i, top / beta), are summed in agent order (reduce
@@ -123,8 +136,8 @@ def _price(table, costs, masks, mode, beta):
     """
     bits = (1 << np.arange(costs.size))[:, None]
     has = (masks & bits) != 0
-    value = table[masks]
-    marg = value - table[masks & ~bits]  # 0 off the set
+    value = values(masks)
+    marg = value - values(masks & ~bits)  # 0 off the set
     paid = marg > MARGINAL_TOL  # hence members only
     alpha = np.divide(costs[:, None], marg, out=np.zeros(marg.shape), where=paid)
     popc = has.sum(axis=0)
@@ -145,9 +158,37 @@ def _price(table, costs, masks, mode, beta):
     return ref, ref, popc
 
 
-def _table_best(table, costs, mode, beta):
+def _row_bounds(a, b, x, y):
+    """max over l of max(a[h] - x[l], 0) (b[h] + y[l]) for each row h,
+    taken over the Pareto frontier of the points (x[l], y[l]): those that
+    no other point matches with a smaller or equal x and a larger or
+    equal y.  Rounding is monotone, so a point's float product is at most
+    that of any point dominating it."""
+    order = np.lexsort((-y, x))  # x ascending, then y descending
+    x, y = x[order], y[order]
+    front = y > np.maximum.accumulate(np.concatenate([[-np.inf], y[:-1]]))
+    gap = np.maximum(a[:, None] - x[front], 0.0)
+    return (gap * (b[:, None] + y[front])).max(axis=1)
+
+
+def _row_slack(n):
+    """How far a set's B can exceed its row's bound (see _table_best).
+
+    t(h | l) <= t(h) + t(l) holds up to k (n - k) <= n^2 / 4 pairwise
+    conditions, each checked to STRUCT_TOL on float gains that round by
+    at most 4u, u = 2^-53.  The rate sums are at most 2n, so 1 - R[S] as
+    B forms it and a - x as the bound does differ by at most 6 (2n + 1) u,
+    which multiplies values below 3; the sum b + y and the two products,
+    of values at most 2, round by at most 7u in all.  Rewards built from
+    sums, additive and coverage, round t by far less than STRUCT_TOL.
+    """
+    u = 2.0**-53
+    return n * n / 4 * (STRUCT_TOL + 4 * u) + (18 * (2 * n + 1) + 7) * u
+
+
+def _table_best(rows, costs, mode, beta):
     """Best masks for the requested mode and for the unconstrained mode
-    over every subset of the dense value table.
+    over every subset, from the value table's rows (rewards.TableRows).
 
     Up to PRICE_ALL_N agents every set is priced in one block, which
     costs less than the bound passes below: they cost a few passes and
@@ -157,71 +198,135 @@ def _table_best(table, costs, mode, beta):
     The rewards are submodular, so agent i's marginal in any set is at
     most its singleton marginal plus RATE_TOL, and its payment alpha_i(S)
     is at least its rate r_i = costs[i] / (that marginal + RATE_TOL), bit
-    for bit, as rounding is monotone.  The rates R[S] of each set, summed
-    by doubling in agent order as the payments are, give B = (1 - R) t >=
-    the unconstrained and beta_nd utilities, and >= the nd one less
-    BOUND_SLACK, as the product k top may round below the sum.  The bar
-    is the exact utility of argmax B in each mode, or 0: only the sets
-    whose bound reaches it less BOUND_SLACK can win, and at a bar of 0
-    no set with t[S] = 0, which ties the empty set at best.
+    for bit, as rounding is monotone.  A set's rate sum R[S] is its low
+    agents' rates folded in agent order, as the payments are summed, plus
+    the sum of its high agents' (with one row, the fold alone, bit for
+    bit the payments' order).  Both sums are of at most n rates below 2,
+    so R exceeds the sum of the payments by at most 4 n^2 u, 2e-13 at
+    n = 22 with u = 2^-53.  B = (1 - R) t thus falls short of the
+    unconstrained and beta_nd utilities by at most that, and of the nd
+    one by that plus the rounding of the product k top, far less than
+    BOUND_SLACK in all.  The bar is the best exact utility found so far
+    in each mode, starting from the empty set's 0, raised by pricing each
+    batch's argmax B: only the sets whose bound reaches it less
+    BOUND_SLACK can win, and at a bar of 0 no set with t[S] = 0, which
+    ties the empty set at best.
 
     When the price of non-discrimination is high, B stays above the nd or
     beta_nd bar on many sets.  Once pricing them, n operations each,
-    would cost more than a pass over the table, the mode's own bound
+    would cost more than a pass over the batch, the mode's own bound
     (1 - k rho / beta) t, with beta = 1 for nd, prunes them again: every
     member is paid at least top / beta >= rho[S] / beta, the largest rate.
     Survivors are priced exactly, PRICE_BLOCK masks at a time, each once
-    for both modes: O(2^n) contiguous passes plus O(s n) pricing of s
-    survivors, and s is 2^n when every set ties.
+    for both modes, and ranked by _rank.
+
+    Rows: agents 0..k-1 pick a mask's column and the rest its row h (k =
+    n below SPLIT_N, one row, the dense table).  Above, k = ceil(n / 2),
+    and the rows are valued best first by a bound on their sets' B, with
+    a = 1 - R[h], b = t[h] and x, y the rate sum and value of each low set
+    l: t(h | l) <= b + y, up to k (n - k) <= n^2 / 4 pairwise violations
+    of STRUCT_TOL by an explicit table (each marginal of l's agents shrinks
+    by at most STRUCT_TOL per agent of h), and the rates add, so B(h | l)
+    <= max(a - x, 0) (b + y) + _row_slack(n), which also covers the
+    rounding (see _row_slack).  _row_bounds maximizes it over the low sets'
+    Pareto frontier.  Batches of rows, ROW_BLOCK masks at a time, are
+    valued, bounded and priced as the one row is, until the next row's
+    bound is below the lower bar less BOUND_SLACK: no later row holds a
+    set that the one-row kernel would price.  Costs: O(2^k) to set up,
+    O(2^(n - k) F) for the bounds of F frontier points, O(2^k) passes per
+    batch valued, and O(s n) pricing of s survivors; below SPLIT_N, O(2^n)
+    contiguous passes, and s is 2^n when every set ties.
     """
-    n = costs.size
+    n, k = costs.size, rows.k
     if n <= PRICE_ALL_N:
-        ref, util, popc = _price(table, costs, np.arange(table.size), mode, beta)
+        ref, util, popc = _price(rows.values, costs, np.arange(1 << n), mode, beta)
         return _argbest(util, popc), _argbest(ref, popc)
+    t_low = rows.rows(np.zeros(1, np.intp))[0]  # row 0: the low sets
+    t_high = rows.values(np.arange(1 << (n - k)) << k)  # column 0: the high sets
+    singles = np.concatenate([t_low[1 << np.arange(k)], t_high[1 << np.arange(n - k)]])
     with np.errstate(over="ignore"):
-        rates = costs / (table[1 << np.arange(n)] - table[0] + RATE_TOL)
+        rates = costs / (singles - t_low[0] + RATE_TOL)
     # a rate above 1 + COMPARE_TOL makes every set holding the agent
     # infeasible; capped, R stays finite, so (1 - R) t is never inf * 0
     np.minimum(rates, 2.0, out=rates)
+    low, high = rates[:k], rates[k:]
+    low_sum, high_sum = fold_subsets(np.add, low), fold_subsets(np.add, high)
+    order = np.zeros(1, np.intp)
+    reach_row = np.full(1, np.inf)
+    if k < n:
+        bound = _row_bounds(1.0 - high_sum, t_high, low_sum, t_low)
+        order = np.argsort(-bound, kind="stable")
+        reach_row = bound[order] + _row_slack(n)
+    best = ref = (-0.0, 0, 0)  # the empty set's _rank
 
-    def utility(pay):
+    def utility(pay, t):
         np.subtract(1.0, pay, out=pay)
-        return np.multiply(pay, table, out=pay)
+        return np.multiply(pay, t, out=pay)
 
-    def reach(bound, bar):
-        """The empty set and the sets whose bound reaches bar >= 0."""
+    def reach(bound, t, bar):
+        """The sets whose bound reaches bar >= 0."""
         hit = bound >= bar - BOUND_SLACK
         if bar <= BOUND_SLACK:
-            hit &= table > 0
-        hit[0] = True
+            hit &= t > 0
         return hit
 
-    def bars(bound):
-        """Exact (unconstrained, mode) utilities of argmax bound, or 0."""
-        ref, util, _ = _price(table, costs, np.array([bound.argmax()]), mode, beta)
-        return max(ref[0], 0.0), max(util[0], 0.0)
+    def bars(bound, hs):
+        """The best (unconstrained, mode) utilities so far, raised to the
+        exact ones of argmax bound."""
+        i = int(bound.argmax())
+        masks = np.array([hs[i >> k] << k | i & (1 << k) - 1])
+        ref_u, util_u, _ = _price(rows.values, costs, masks, mode, beta)
+        return max(ref_u[0], -ref[0]), max(util_u[0], -best[0])
 
-    bound = utility(fold_subsets(np.add, rates))
-    bar_ref, bar = bars(bound)
-    keep = reach(bound, min(bar_ref, bar))
-    if mode != "unconstrained" and np.count_nonzero(keep) * n > table.size:
-        keep_ref = reach(bound, bar_ref)
-        pay = fold_subsets(np.maximum, rates, out=bound)
-        np.multiply(pay, fold_subsets(np.add, np.ones(n, np.uint8), np.uint8), out=pay)
-        if mode == "beta_nd":
-            np.divide(pay, beta, out=pay)
-        bound = utility(pay)
-        keep &= reach(bound, max(bar, bars(bound)[1]))
-        keep |= keep_ref
-    cand = np.flatnonzero(keep)
-    ref, util, popc = (
-        np.concatenate(parts)
-        for parts in zip(*(
-            _price(table, costs, cand[k : k + PRICE_BLOCK], mode, beta)
-            for k in range(0, cand.size, PRICE_BLOCK)
-        ))
-    )
-    return int(cand[_argbest(util, popc)]), int(cand[_argbest(ref, popc)])
+    def row_fold(low_fold, high_fold, op, hs):
+        """op of a fold over the low agents and one over the high agents
+        at each mask of the rows hs; with one row, the low fold itself,
+        which its one batch then reads once, in place."""
+        return low_fold[None] if k == n else op(low_fold, high_fold[hs, None])
+
+    def ranked(key, util, popc, masks):
+        """The smaller _rank of key and the best of the priced masks."""
+        i = _argbest(util, popc)
+        return key if i is None else min(key, (-util[i], int(popc[i]), int(masks[i])))
+
+    per = max(1, ROW_BLOCK >> k)
+    mode_folds = None  # the largest rate and the member count of the low and the high sets
+    for start in range(0, order.size, per):
+        bar_low = min(-best[0], -ref[0])
+        hs = order[start : start + per]
+        hs = np.sort(hs[reach_row[start : start + per] >= bar_low - BOUND_SLACK])
+        if not hs.size:
+            break  # the rows are in descending bound order
+        t = rows.rows(hs)
+        bound = utility(row_fold(low_sum, high_sum, np.add, hs), t)
+        bar_ref, bar = bars(bound, hs)
+        keep = reach(bound, t, min(bar_ref, bar))
+        if mode != "unconstrained" and np.count_nonzero(keep) * n > keep.size:
+            keep_ref = reach(bound, t, bar_ref)
+            if mode_folds is None:
+                ones = np.ones(n, np.uint8)
+                mode_folds = (
+                    fold_subsets(np.maximum, low),
+                    fold_subsets(np.maximum, high),
+                    fold_subsets(np.add, ones[:k], np.uint8),
+                    fold_subsets(np.add, ones[k:], np.uint8),
+                )
+            top_low, top_high, count_low, count_high = mode_folds
+            pay = row_fold(top_low, top_high, np.maximum, hs)
+            np.multiply(pay, row_fold(count_low, count_high, np.add, hs), out=pay)
+            if mode == "beta_nd":
+                np.divide(pay, beta, out=pay)
+            bound = utility(pay, t)
+            keep &= reach(bound, t, max(bar, bars(bound, hs)[1]))
+            keep |= keep_ref
+        cand = np.flatnonzero(keep)  # the one row's indices are its masks
+        if k < n:
+            cand = hs[cand >> k] << k | cand & (1 << k) - 1
+        for c in range(0, cand.size, PRICE_BLOCK):
+            masks = cand[c : c + PRICE_BLOCK]
+            ref_u, util_u, popc = _price(rows.values, costs, masks, mode, beta)
+            best, ref = ranked(best, util_u, popc, masks), ranked(ref, ref_u, popc, masks)
+    return best[2], ref[2]
 
 
 def _report(inst, spec, method, examined, best, ref) -> SolveReport:
@@ -238,17 +343,26 @@ def brute_force(
     workers: int = 1,
     limit: int = BRUTE_FORCE_LIMIT,
 ) -> SolveReport:
-    """Exact optimum over all 2^n subsets of the dense value table.
+    """Exact optimum over all 2^n subsets of the value table.
 
     workers is accepted for compatibility and ignored: the scan is single
     threaded.  The unconstrained optimum is computed alongside and
     reported as opt_reference.  Up to PRICE_ALL_N agents every set is
-    priced; above, a singleton-rate bound on every set's utility, O(2^n)
-    contiguous passes, leaves out the sets that cannot win, and the s
-    survivors are priced exactly in O(s n) (see _table_best); s is 2^n
-    only when every set ties.  candidates_examined counts all 2^n sets
-    either way.  The table comes from rewards.dense_table, so consecutive
-    solves of one reward, under any modes and betas, build it once.
+    priced; above, a singleton-rate bound on every set's utility leaves
+    out the sets that cannot win, and the s survivors are priced exactly
+    in O(s n) (see _table_best); s is 2^n only when every set ties.
+    Below SPLIT_N agents the bound takes O(2^n) contiguous passes over
+    the dense table.  From SPLIT_N on, k = ceil(n / 2) agents pick the
+    column and the rest the row: O(2^k + 2^(n - k) F) to bound every row
+    from F <= 2^k frontier points, and only the rows whose bound reaches
+    the bar are valued and bounded, O(2^k) each; no 2^n array is built.
+    The nd and beta_nd solves of gen_random's additive, capped and
+    coverage instances at n = 18..20 (seeds 0..29, cost margin 0.5)
+    valued 1.6% to 16% of the rows between them, a median of one batch
+    of ROW_BLOCK masks, and at most a quarter is expected.
+    candidates_examined counts all 2^n sets either way.  The rows come
+    from rewards.table_rows, so consecutive solves of one reward, under
+    any modes and betas, value each row once.
     """
     n = inst.n
     if n > limit:
@@ -256,7 +370,8 @@ def brute_force(
             f"brute force over 2^{n} subsets exceeds the limit ({limit}); "
             "use the symmetric or partition methods"
         )
-    best, ref = _table_best(dense_table(inst.reward), inst.costs, spec.mode, spec.beta)
+    k = n if n < SPLIT_N else (n + 1) // 2
+    best, ref = _table_best(table_rows(inst.reward, k), inst.costs, spec.mode, spec.beta)
     return _report(inst, spec, "brute_force", 1 << n, best, ref)
 
 
@@ -591,7 +706,7 @@ def two_agent_exact(inst: Instance, spec: ModeSpec) -> SolveReport:
     the method "two_agent"."""
     if inst.n != 2:
         raise SizeLimitError(f"the two-agent solver requires exactly 2 agents, got {inst.n}")
-    best, ref = _table_best(dense_table(inst.reward), inst.costs, spec.mode, spec.beta)
+    best, ref = _table_best(table_rows(inst.reward, 2), inst.costs, spec.mode, spec.beta)
     return _report(inst, spec, "two_agent", 4, best, ref)
 
 

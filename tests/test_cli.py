@@ -127,13 +127,15 @@ def test_solve_beta_nd_without_beta(tmp_path, capsys):
 
 
 def test_solve_mode_and_beta_disagree(tmp_path, capsys):
-    """A beta or delta for another mode, a beta below 1 and an n^delta
-    past the float range each exit 2 with one error line."""
+    """A beta or delta for another mode, a beta below 1 or not finite,
+    and an n^delta past the float range each exit 2 with one error line;
+    an infinite beta would be written as Infinity, which is not JSON."""
     inst = _gen_geo(tmp_path)
     out = tmp_path / "r.json"
     for args in (["--mode", "nd", "--beta", 2],
                  ["--mode", "unconstrained", "--delta", "0.5"],
                  ["--mode", "beta-nd", "--beta", "nan"],
+                 ["--mode", "beta-nd", "--beta", "inf"],
                  ["--mode", "beta-nd", "--delta", "-1"],
                  ["--mode", "beta-nd", "--delta", "1e6"]):
         assert run(["solve", "--in", inst, "--method", "brute", "--out", out, *args]) == 2, args
@@ -430,6 +432,45 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unreadable_files_exit_2(tmp_path, capsys):
+    """A directory or a binary file where a file is read, and a directory
+    where one is written, each exit 2 with one error line."""
+    inst = _gen_geo(tmp_path)
+    result = tmp_path / "r.json"
+    assert run(["solve", "--in", inst, "--mode", "nd", "--out", result]) == 0
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    for argv in (
+        ["solve", "--in", tmp_path, "--out", out],
+        ["solve", "--in", binary, "--out", out],
+        ["solve", "--in", inst, "--out", tmp_path],
+        ["gen", "geometric", "--m", 2, "--T", 2, "--out", tmp_path],
+        ["check", "structure", "--in", binary],
+        ["check", "equilibrium", "--in", inst, "--result", binary],
+        ["check", "equilibrium", "--in", inst, "--result", tmp_path],
+        ["sweep", "--config", binary, "--out", tmp_path / "s.csv"],
+        ["sweep", "--config", tmp_path, "--out", tmp_path / "s.csv"],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_sweep_config_values_must_be_numbers(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    for body, key in (
+        ("family = geometric\nT = 3\ngrid = m\nvalues = 2, abc\n", "'values'"),
+        ("family = random-additive\ngrid = n\nvalues = 4\nseed = 1.5\n", "'seed'"),
+        ("family = geometric\nT = high\ngrid = m\nvalues = 2\n", "'T'"),
+    ):
+        cfg.write_text(body)
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -483,6 +524,7 @@ def test_bound_command(capsys):
         ["--delta", "0.5"],
         ["--beta", 3, "--delta", "0.5"],
         ["--beta", "nan"],
+        ["--beta", "inf"],
         ["--beta", "0.5"],
         [],
     )

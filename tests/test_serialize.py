@@ -1,5 +1,8 @@
 """File format tests: instance/result JSON and sweep configs."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,16 @@ from fairpay.contracts import ModeSpec
 from fairpay.errors import ParameterError
 from fairpay.experiments import solve_with
 from fairpay.families import gen_geometric_family, gen_random, gen_two_class
+from fairpay.rewards import Coverage, ExplicitTable
+from fairpay.contracts import Instance
 from fairpay.serialize import (
+    _dumps,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     load_result,
     parse_sweep_config,
+    report_to_dict,
     result_contract,
     save_instance,
     save_report,
@@ -84,6 +91,46 @@ def test_result_file_contents(tmp_path):
     contract, mask = result_contract(data, inst.n)
     assert mask == 0b001
     assert contract.payments[0] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], {"a": []}, {"a": {}}, [None], "text", 3, -0.5, None, True,
+        {"flat": [1, 2, 3], "floats": [0.1, -0.0, 1e-300, 5e300, 2.0]},
+        {"mixed": [1, 2.5], "bools": [True, False], "ints": [1, True]},
+        {"nan": [math.nan, 1.0], "inf": [1.0, math.inf], "-inf": -math.inf},
+        {"nested": [[1, 2], [], [3.5, {"k": [0.25]}]], "deep": {"a": {"b": {"c": [1.0]}}}},
+        {1: "int key", "a": {2.5: [1, 2]}}, {"tuple": (1, 2.0)},
+        {"s": "line\nbreak \"quoted\" \u00e9", "big": 10**30},
+        {"numpy": np.float64(0.1), "numpy list": [np.float64(0.2), 0.3]},
+    ],
+)
+def test_writer_matches_json_dump_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_saved_files_match_json_dump_indent_2(tmp_path):
+    """Instance and result files are byte for byte what
+    json.dump(..., indent=2) plus a newline writes."""
+    cov = gen_random("coverage", 5, seed=2)
+    instances = [
+        gen_geometric_family(3, 3),
+        gen_two_class("lemma9", 1000, epsilon=1e-6),
+        gen_random("capped_additive", 7, seed=1),
+        cov,
+        Instance(5, cov.costs, ExplicitTable(5, cov.reward.value_table())),
+        Instance(2, [0.1, 0.2], Coverage([], [[], []]), metadata={"note": [1, "x", None]}),
+    ]
+    path = tmp_path / "file.json"
+    for inst in instances:
+        save_instance(inst, path)
+        assert path.read_text() == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+        for spec in (ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+            report = solve_with(inst, spec, "symmetric" if inst.n > 22 else "brute")
+            save_report(report, path, timing_ms=0.5)
+            expected = json.dumps(report_to_dict(report, 0.5), indent=2) + "\n"
+            assert path.read_text() == expected
 
 
 def test_result_contract_length_mismatch(tmp_path):

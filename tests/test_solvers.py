@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairpay.contracts import (
     COMPARE_TOL,
     MARGINAL_TOL,
+    RATE_TOL,
     Instance,
     ModeSpec,
     is_equilibrium,
@@ -40,8 +41,11 @@ from fairpay.rewards import (
 )
 from fairpay.solvers import (
     PRICE_ALL_N,
+    SPLIT_N,
     SolveReport,
     _argbest,
+    _row_bounds,
+    _row_slack,
     brute_force,
     delta_partition,
     log_partition,
@@ -443,6 +447,140 @@ def test_pricing_every_set_agrees_with_the_bound_passes_at_the_cut(n):
             assert reports[0] == reports[1] == reports[2]
 
 
+def _split():
+    """_table_best splits every table into rows, with its bound passes
+    at every n, so that small instances exercise the split."""
+    return mock.patch.multiple("fairpay.solvers", SPLIT_N=0, PRICE_ALL_N=0)
+
+
+@st.composite
+def _split_instances(draw):
+    """Instances whose rows bound each other loosely or tightly: coverage
+    with more than 64 elements, geometric families with their costs
+    rescaled, additive weights rounded to a few values, which tie, and
+    two-class rewards."""
+    kind = draw(st.sampled_from(["wide-coverage", "geometric", "rounded", "two-class"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "geometric":
+        inst = gen_geometric_family(draw(st.integers(1, 3)), draw(st.floats(2.0, 50.0)))
+        return Instance(inst.n, inst.costs * draw(st.floats(1e-3, 1e3)), inst.reward)
+    n = draw(st.integers(1, 14))
+    if kind == "two-class":
+        n = max(n, 2)
+        f_b = rng.uniform(0.0, 1.0) / n
+        reward = SymmetricTwoClass(rng.uniform(0.0, 1.0 - (n - 1) * f_b), f_b, n - 1)
+    elif kind == "wide-coverage":
+        w = rng.uniform(0.0, 1.0, draw(st.integers(65, 90)))
+        covers = [np.flatnonzero(rng.random(w.size) < rng.uniform(0, 0.3)) for _ in range(n)]
+        reward = Coverage(w / w.sum(), covers)
+    else:
+        w = rng.integers(1, 4, n) / (4.0 * n)
+        reward = Additive(w) if draw(st.booleans()) else CappedAdditive(w, 0.5)
+    singles = np.array([reward.value(1 << i) for i in range(n)]) + 0.01
+    costs = singles * rng.choice([0.05, 0.1, 0.25, 0.5], n)
+    return Instance(n, costs, reward)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=st.one_of(
+        st.builds(
+            _random_instance,
+            st.sampled_from(["additive", "coverage", "capped_additive", "explicit"]),
+            st.integers(1, 14),
+            st.integers(0, 10_000),
+        ),
+        _nudged_explicit(),
+        _equal_rate_instances(),
+        _spread_rate_instances(),
+        _split_instances(),
+    ),
+    mode=st.sampled_from(["unconstrained", "nd", "beta_nd"]),
+    beta=_BETAS,
+)
+def test_split_rows_match_the_one_row_kernel(inst, mode, beta):
+    """The rows, their bounds and the batches pick the one-row kernel's
+    sets, so the reports are byte-identical."""
+    spec = _spec(mode, beta, inst.n)
+    with mock.patch("fairpay.solvers.PRICE_ALL_N", 0):
+        expected = _report_bytes(brute_force(inst, spec))
+    with _split():
+        assert _report_bytes(brute_force(inst, spec)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    bump=st.sampled_from([0.0, 0.5, 0.9]),
+    kind=st.sampled_from(["additive", "coverage"]),
+)
+def test_row_bound_and_slack_cover_every_set(n, seed, bump, kind):
+    """Every set's bound B = (1 - R) t, as the kernel forms it, is at most
+    its row's bound plus _row_slack(n).  A table supermodular by
+    bump * STRUCT_TOL per pair, which the structure check accepts, has
+    t(h | l) = t(h) + t(l) + |h| |l| bump STRUCT_TOL."""
+    rng = np.random.default_rng(seed)
+    inst = gen_random(kind, n, seed=int(rng.integers(1 << 30)))
+    size = np.array([m.bit_count() for m in range(1 << n)])
+    table = np.clip(inst.reward.value_table() + bump * STRUCT_TOL * size * (size - 1) / 2, 0, 1)
+    assert check_structure(ExplicitTable(n, table)).submodular
+    costs = inst.costs * rng.uniform(0.01, 2.0, n)
+    rates = np.minimum(costs / (table[1 << np.arange(n)] - table[0] + RATE_TOL), 2.0)
+    k = (n + 1) // 2
+    low, high = rewards.fold_subsets(np.add, rates[:k]), rewards.fold_subsets(np.add, rates[k:])
+    t = table.reshape(-1, 1 << k)
+    bound = (1.0 - (low + high[:, None])) * t
+    rows = _row_bounds(1.0 - high, t[:, 0], low, t[0])
+    assert np.all(bound <= rows[:, None] + _row_slack(n))
+
+
+def _count_calls(target, name):
+    original = getattr(target, name)
+    return mock.patch.object(target, name, autospec=True, side_effect=original)
+
+
+def test_brute_force_above_the_split_builds_no_table():
+    """From SPLIT_N agents on, brute_force values rows through the
+    reward's oracle: it never calls value_table or dense_table, and the
+    nd and beta_nd solves of one reward value each row once between them."""
+    for kind in ("coverage", "additive"):
+        inst = gen_random(kind, SPLIT_N, seed=4)
+        rewards.dense_table(Additive([0.5]))
+        oracle = type(inst.reward)._oracle
+        requested = []
+
+        def counted(self, k):
+            values, rows = oracle(self, k)
+            return values, lambda hs: requested.extend(hs.tolist()) or rows(hs)
+
+        with _count_calls(type(inst.reward), "value_table") as tables, \
+                _count_calls(rewards, "dense_table") as dense, \
+                mock.patch.object(type(inst.reward), "_oracle", counted):
+            reports = [brute_force(inst, spec) for spec in _MODES]
+        assert tables.call_count == 0 and dense.call_count == 0
+        k = (SPLIT_N + 1) // 2
+        assert len(requested) == len(set(requested)) == rewards.table_rows(inst.reward, k).valued
+        assert 0 < len(requested) < 1 << (SPLIT_N - k)
+        with mock.patch("fairpay.solvers.SPLIT_N", SPLIT_N + 1):
+            assert [_report_bytes(r) for r in reports] == [
+                _report_bytes(brute_force(inst, spec)) for spec in _MODES
+            ]
+
+
+@pytest.mark.parametrize("n", [SPLIT_N, SPLIT_N + 1, SPLIT_N + 2])
+def test_rows_valued_stay_within_a_quarter(n):
+    """brute_force's docstring: the nd and beta_nd solves of a random
+    instance value at most a quarter of the rows between them."""
+    for kind in ("additive", "coverage", "capped_additive"):
+        for seed in range(3):
+            inst = gen_random(kind, n, seed=seed)
+            brute_force(inst, ModeSpec.nd())
+            brute_force(inst, ModeSpec.beta_nd(2.0))
+            rows = rewards.table_rows(inst.reward, (n + 1) // 2)
+            assert 0 < rows.valued <= (1 << (n - rows.k)) / 4, (kind, seed)
+
+
 def test_bound_scan_breaks_ties_like_full_pass():
     # every agent's rate is 1/16, so U(k agents) = (1 - k/16) k/16 and all
     # 12,870 sets of 8 agents tie at 0.25 (in every mode, as all payments
@@ -815,7 +953,7 @@ def test_two_agent_bound_values():
     assert two_agent_bound(3.0) == pytest.approx(1.5)
     assert two_agent_bound(1.0) == pytest.approx(1 + 1 / R2)
     assert two_agent_bound(1e12) == pytest.approx(1.0, abs=1e-5)
-    for bad in (0.5, math.nan):  # nan fails beta >= 1 as it fails beta < 1
+    for bad in (0.5, math.nan, math.inf):  # nan fails beta >= 1 as it fails beta < 1
         with pytest.raises(ParameterError, match="beta >= 1"):
             two_agent_bound(bad)
 
