@@ -92,7 +92,10 @@ class Contract:
         p = np.array(self.payments, dtype=float)
         p.setflags(write=False)
         object.__setattr__(self, "payments", p)
-        if p.size and (p.min() < -COMPARE_TOL or p.max() > 1 + COMPARE_TOL):
+        if p.ndim != 1:
+            raise ParameterError(f"contract payments must be a flat vector, got shape {p.shape}")
+        # a NaN fails both comparisons
+        if p.size and not (p.min() >= -COMPARE_TOL and p.max() <= 1 + COMPARE_TOL):
             raise ParameterError("contract payments must lie in [0, 1]")
 
     def total(self) -> float:

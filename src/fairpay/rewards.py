@@ -10,6 +10,7 @@ indices 0..n-1 everywhere; bit i set means agent i is in the set.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -33,11 +34,20 @@ EXHAUSTIVE_CHECK_LIMIT = 22
 # n = 22, where all n rows would take 738 MB.
 GAINS_BLOCK = 1 << 22
 # Coverage.value_table views the table as rows of 2^ROW_BITS masks, one
-# per combination of the agents above the lowest ROW_BITS: 32 KB rows, so
-# each add runs contiguously for 4,096 entries.  It gathers its prefix
-# lookup GATHER_BLOCK masks at a time, with 768 KB of index arrays.
+# per combination of the agents above the lowest ROW_BITS, and fills them
+# GATHER_BLOCK masks at a time, 128 KB of table, with 256 KB of index and
+# lookup buffers; _add_where lays out GATHER_BLOCK terms at a time.
 ROW_BITS = 12
-GATHER_BLOCK = 1 << 16
+GATHER_BLOCK = 1 << 14
+# Coverage sums its weights in chunks of CHUNK elements, one lookup in a
+# 2^CHUNK-entry table (32 KB) per chunk.  value_table of gen_random
+# coverage rewards took 0.072, 0.175, 0.417 and 0.731 ms at n = 10, 14,
+# 16 and 17 (median of 8 instances x 5, three processes, 2 vCPUs); 0.094,
+# 0.217, 0.538 and 1.16 ms with chunks of 8 and 0.088, 0.146, 0.776 and
+# 1.42 ms with chunks of 16, whose 512 KB tables miss the caches; and
+# 0.120, 0.342, 1.09 and 1.40 ms for a prefix lookup of up to 32 elements
+# followed by one add per later element, which it replaced.
+CHUNK = 12
 
 
 def as_mask(subset, n: int) -> int:
@@ -289,7 +299,11 @@ class Coverage(RewardFunction):
     """Weighted coverage: f(S) = total weight of elements covered by S.
 
     Agent i covers a fixed set of elements; element weights must total at
-    most 1 so every value is a probability.
+    most 1 so every value is a probability.  Every evaluation sums the
+    covered weights in one order: in chunks of CHUNK elements, ascending
+    from 0.0 within a chunk, then the chunk sums in chunk order, so that
+    value, marginals, values, value_table and the rows of table_rows are
+    bit for bit the same floats.
     """
 
     kind = "coverage"
@@ -316,22 +330,27 @@ class Coverage(RewardFunction):
         if not self.covers:
             raise ParameterError("at least one agent is required")
         self.n = len(self.covers)
-        # agent x element incidence and weights, each behind a leading zero
-        # column, so that every row sum below starts from 0.0
-        self._incidence = np.zeros((self.n, n_elem + 1), dtype=bool)
+        # agent x element incidence and weights, padded with uncovered
+        # elements of weight 0.0 to whole chunks of CHUNK elements
+        size = CHUNK * max(1, -(-n_elem // CHUNK))
+        self._incidence = np.zeros((self.n, size), dtype=bool)
         for i, cover in enumerate(self.covers):
-            self._incidence[i, [e + 1 for e in cover]] = True
-        self._weights0 = np.concatenate([[0.0], ew])
+            self._incidence[i, sorted(cover)] = True
+        self._padded = np.zeros(size)
+        self._padded[:n_elem] = ew
 
     def _sums(self, covered: np.ndarray) -> np.ndarray:
         """Unclipped f of each row of an element-coverage matrix.
 
-        cumsum adds a row's weights one at a time in ascending element
-        order, starting from 0.0, which makes every sum the same float as
-        a plain loop over the covered elements; an uncovered element adds
-        0.0 and changes nothing.
+        The weights are summed in chunks of CHUNK elements: within a chunk
+        cumsum adds the covered weights one at a time in ascending element
+        order from 0.0, an uncovered element adding 0.0, which changes
+        nothing; the chunk sums are then added in chunk order, so every
+        sum is the same float as the chunk lookups of value_table.
         """
-        return np.cumsum(np.where(covered, self._weights0, 0.0), axis=-1)[..., -1]
+        terms = np.where(covered, self._padded, 0.0)
+        terms = terms.reshape(terms.shape[:-1] + (-1, CHUNK))
+        return terms.cumsum(axis=-1)[..., -1].cumsum(axis=-1)[..., -1]
 
     def _value_of_mask(self, mask: int) -> float:
         return float(self._sums(self._incidence[mask_to_bools(mask, self.n)].any(axis=0)))
@@ -352,94 +371,63 @@ class Coverage(RewardFunction):
         f_S, others = values[0], values[1:]
         return np.where(members, f_S - others, others - f_S)
 
-    def _lookup(self, low: int):
-        """(prefix, lo, hi, w_later, later) of the prefix lookup below,
-        with low agents per column: the weights of the elements after the
-        first j, and their columns of the agent x element incidence."""
-        n = self.n
-        w = self.element_weights
-        covered = self._incidence[:, 1:]
-        j = max(0, min(w.size, n - 2, 32))
-        bits = (covered[:, :j] << np.arange(j, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
-        prefix = fold_subsets(np.add, w[:j])
-        lo = fold_subsets(np.bitwise_or, bits[:low], np.uint32)
-        hi = fold_subsets(np.bitwise_or, bits[low:], np.uint32)
-        return prefix, lo, hi, w[j:], covered[:, j:]
-
-    def value_table(self) -> np.ndarray:
-        """Dense table of f, bit for bit equal to the pointwise evaluation.
-
-        _value_of_mask adds the covered weights in ascending element order
-        from 0.0; every entry here gets the same additions in the same
-        order, so it is the same float.  The table is laid out as rows of
-        2^ROW_BITS masks: a mask's low ROW_BITS agents pick its column and
-        the agents above them its row.
-
-        Lookup: the first j = min(#elements, n - 2, 32) elements come from
-        one table, prefix = fold_subsets(np.add, w[:j]), which holds the
-        ascending sum from 0.0 of every subset of them.  A mask covers the
-        subset that is the OR of its agents' uint32 cover bits, folded once
-        over the low agents (lo, per column) and once over the high ones
-        (hi, per row); entry (row, col) is prefix[hi[row] | lo[col]].  The
-        gather runs GATHER_BLOCK masks at a time.
-
-        Rows: the later elements follow in ascending order, each added
-        once to every mask.  Rows whose high agents include one covering e
-        get w_e; every other row gets the vector of w_e where the column's
-        low agents cover e and 0.0 elsewhere, and adding 0.0 to a sum of
-        nonnegative weights changes nothing.  With one axis per high
-        agent, the covering rows split into one strided view per covering
-        high agent k (bit k set, the covering agents below k clear) and
-        the rest form one more, so every add runs along whole rows.
-
-        Transient memory beside the table: the prefix, at most a quarter
-        of the table (j <= n - 2); one gather block's indices, 768 KB;
-        lo, hi, and one bool per column and later element.
-        """
-        n = self.n
-        low = min(n, ROW_BITS)
-        prefix, lo, hi, w_later, later = self._lookup(low)
-        table = np.empty(1 << n)
-        rows = table.reshape(hi.size, lo.size)
-        step = max(1, GATHER_BLOCK >> low)
-        for r in range(0, hi.size, step):
-            # every index is below 2^j; "wrap" writes to out unbuffered
-            np.take(prefix, hi[r : r + step, None] | lo, out=rows[r : r + step], mode="wrap")
-        low_covers = fold_subsets(np.logical_or, later[:low], bool)
-        grid = rows.reshape((2,) * (n - low) + (lo.size,))
-        for e, w_e in enumerate(w_later):
-            index = [slice(None)] * (n - low)
-            for k in np.flatnonzero(later[low:, e]).tolist():
-                index[n - low - 1 - k] = 1
-                grid[tuple(index)] += w_e
-                index[n - low - 1 - k] = 0
-            grid[tuple(index)] += np.where(low_covers[:, e], w_e, 0.0)
-        return np.clip(table, 0.0, 1.0, out=table)
-
     def _oracle(self, k: int):
-        """RewardFunction._oracle of value_table: the prefix lookup with k
-        agents per column, then each later element's weight added, in
-        ascending order, where one of the mask's agents covers it.  A row
-        adds w_e whole when its high agents cover e, and else the vector
-        of w_e where the column's low agents cover e and 0.0 elsewhere."""
-        prefix, lo, hi, w_later, later = self._lookup(k)
-        covers = (later.T << np.arange(self.n)).sum(axis=1)
-        adds = np.where(fold_subsets(np.logical_or, later[:k], bool).T, w_later[:, None], 0.0)
+        """RewardFunction._oracle: f of a mask is one lookup per chunk of
+        CHUNK elements, added in chunk order.  A chunk's table, the
+        fold_subsets(np.add, ...) of its weights, holds the ascending sum
+        from 0.0 of every subset of its elements, as _sums adds them; a
+        mask covers the subset that is the OR of its agents' cover bits,
+        folded once over the agents below k (lo, per column) and once over
+        the others (hi, per row), so entry (row, col) is its table's entry
+        hi[row] | lo[col].  Besides the lookups, the chunk tables, 2^CHUNK
+        entries each, and lo and hi are built.  rows writes the first
+        chunk's lookups into out, or a new array, and adds the others'."""
+        w = self.element_weights
+        parts = []
+        for start in range(0, max(1, w.size), CHUNK):
+            cover = self._incidence[:, start : start + CHUNK]
+            bits = (cover << np.arange(cover.shape[1])).sum(axis=1)
+            parts.append((
+                fold_subsets(np.add, w[start : start + CHUNK]),
+                fold_subsets(np.bitwise_or, bits[:k], np.intp),
+                fold_subsets(np.bitwise_or, bits[k:], np.intp),
+            ))
+        col = (1 << k) - 1
 
         def values(masks):
-            flat = masks.ravel()
-            out = _add_where(prefix[hi[flat >> k] | lo[flat & (lo.size - 1)]], flat, covers, w_later)
+            hs, ls = masks.ravel() >> k, masks.ravel() & col
+            out = np.zeros(masks.size)  # 0.0 + the first chunk's sum is that sum
+            for table, lo, hi in parts:
+                out += table[hi[hs] | lo[ls]]
             return np.clip(out, 0.0, 1.0, out=out).reshape(masks.shape)
 
-        def rows(hs):
-            out = prefix[hi[hs][:, None] | lo]
-            high = hs[:, None] & covers >> k != 0
-            for e, w_e in enumerate(w_later.tolist()):
-                np.add(out, w_e, out=out, where=high[:, e, None])
-                np.add(out, adds[e], out=out, where=~high[:, e, None])
+        def rows(hs, out=None):
+            out = np.empty((hs.size, col + 1)) if out is None else out
+            index, chunk = np.empty(out.shape, np.intp), np.empty(out.shape)
+            for c, (table, lo, hi) in enumerate(parts):
+                np.bitwise_or(hi[hs, None], lo, out=index)
+                # every index is below the table's size; "wrap" writes to out unbuffered
+                np.take(table, index, out=chunk if c else out, mode="wrap")
+                if c:
+                    out += chunk
             return np.clip(out, 0.0, 1.0, out=out)
 
         return values, rows
+
+    def value_table(self) -> np.ndarray:
+        """Dense table of f, bit for bit equal to the pointwise evaluation:
+        _oracle's rows of 2^ROW_BITS masks, GATHER_BLOCK masks at a time,
+        each block written in place.  Transient memory beside the table:
+        one block's indices and chunk lookups, 256 KB, the chunk tables
+        and lo and hi."""
+        low = min(self.n, ROW_BITS)
+        rows = self._oracle(low)[1]
+        table = np.empty(1 << self.n)
+        grid = table.reshape(-1, 1 << low)
+        step = max(1, GATHER_BLOCK >> low)
+        for r in range(0, len(grid), step):
+            rows(np.arange(r, min(r + step, len(grid))), out=grid[r : r + step])
+        return table
 
     def descriptor(self) -> dict:
         return {
@@ -545,10 +533,17 @@ class TableRows:
     value_table().reshape(-1, 1 << k)[h].  Each row is valued the first
     time it is asked for, and kept.  With k = n the one row is the whole
     table, built by value_table(), read-only, and kept as table.
+
+    survivors is None or, set by the last bounded brute-force solve over
+    these rows, (costs, bar, masks): the costs it was solved with, the
+    lower of its two optimal utilities, and in ascending order every mask
+    whose utility bound under those costs reached that bar less
+    BOUND_SLACK, which a later solve at those costs prices first.
     """
 
     def __init__(self, f: RewardFunction, k: int):
         self.f, self.k = f, k
+        self.survivors = None
         if k == f.n:
             self.table = f.value_table()
             self.table.setflags(write=False)
@@ -777,28 +772,59 @@ def read_field(data: dict, key: str, convert, where: str):
         raise ParameterError(f"{where} has a malformed {key!r}: {exc}") from None
 
 
+def read_int(value) -> int:
+    """A count or an index read from a file: an int, or a float with an
+    integral value; TypeError for a bool, a string or anything else, and
+    ValueError for a float with a fractional part or none (NaN, inf)."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a bool")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    return operator.index(value)
+
+
+def read_float(value) -> float:
+    """A number read from a file, as a float; TypeError for a bool, a
+    string or anything else, which float() would convert."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r:.40}")
+    return float(value)
+
+
+def read_floats(values) -> np.ndarray:
+    """A flat list of numbers read from a file, as a float array;
+    TypeError for bools or strings, which numpy would convert, and
+    ValueError for nested lists."""
+    array = np.asarray(values)
+    # numpy turns bools among numbers into numbers too
+    if array.dtype.kind not in "iuf" or array.ndim == 1 and bool in set(map(type, values)):
+        raise TypeError(f"expected numbers, got {values!r:.40}")
+    if array.ndim != 1:
+        raise ValueError(f"expected a flat list, got shape {array.shape}")
+    return array.astype(float)
+
+
 def reward_from_descriptor(desc: dict) -> RewardFunction:
     """Build a reward function from its JSON descriptor."""
     kind = json_object(desc, "reward descriptor").get("kind")
     where = f"{kind} reward descriptor"
 
-    def field(key, convert=float):
+    def field(key, convert=read_float):
         return read_field(desc, key, convert, where)
 
-    def floats(values):
-        return np.array(values, dtype=float)
-
     if kind == "additive":
-        return Additive(field("weights", floats))
+        return Additive(field("weights", read_floats))
     if kind == "capped_additive":
-        return CappedAdditive(field("weights", floats), field("cap"))
+        return CappedAdditive(field("weights", read_floats), field("cap"))
     if kind == "coverage":
         return Coverage(
-            field("elements", lambda elements: [float(e["weight"]) for e in elements]),
-            field("covers", lambda covers: [[int(e) for e in cover] for cover in covers]),
+            field("elements", lambda elements: [read_float(e["weight"]) for e in elements]),
+            field("covers", lambda covers: [[read_int(e) for e in cover] for cover in covers]),
         )
     if kind == "explicit":
-        return ExplicitTable(field("n", operator.index), field("table", floats))
+        return ExplicitTable(field("n", read_int), field("table", read_floats))
     if kind == "symmetric_two_class":
-        return SymmetricTwoClass(field("f_a"), field("f_b"), field("count_b", int))
+        return SymmetricTwoClass(field("f_a"), field("f_b"), field("count_b", read_int))
     raise ParameterError(f"unknown reward kind: {kind!r}")

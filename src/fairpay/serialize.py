@@ -11,12 +11,10 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .contracts import Contract, Instance
 from .errors import ParameterError
 from .experiments import SweepSpec
-from .rewards import as_mask, json_object, read_field, reward_from_descriptor
+from .rewards import as_mask, json_object, read_field, read_floats, read_int, reward_from_descriptor
 from .solvers import SolveReport
 
 FILE_VERSION = "1"
@@ -38,11 +36,14 @@ def instance_from_dict(data: dict) -> Instance:
     missing = [key for key in ("n", "costs", "reward") if key not in data]
     if missing:
         raise ParameterError(f"instance file lacks the required key(s) {missing}")
+    metadata = data.get("metadata")
+    if metadata is not None:
+        json_object(metadata, "instance file's metadata")
     return Instance(
-        n=read_field(data, "n", int, "instance file"),
-        costs=read_field(data, "costs", lambda c: np.asarray(c, dtype=float), "instance file"),
+        n=read_field(data, "n", read_int, "instance file"),
+        costs=read_field(data, "costs", read_floats, "instance file"),
         reward=reward_from_descriptor(data["reward"]),
-        metadata=data.get("metadata") or None,
+        metadata=metadata or None,
     )
 
 
@@ -111,13 +112,15 @@ def load_result(path) -> dict:
 
 
 def result_contract(data: dict, n: int) -> tuple[Contract, int]:
-    """Contract and member bitmask from a loaded result file."""
-    payments = read_field(data, "payments", lambda p: np.asarray(p, dtype=float), "result file")
+    """Contract and member bitmask from a loaded result file: payments
+    are a flat list of n numbers in [0, 1], and the set a list of agent
+    indices."""
+    payments = read_field(data, "payments", read_floats, "result file")
     if payments.size != n:
         raise ParameterError(
             f"result payments have length {payments.size}, instance has n={n}"
         )
-    members = read_field(data, "set", lambda s: [int(i) for i in s], "result file")
+    members = read_field(data, "set", lambda s: [read_int(i) for i in s], "result file")
     return Contract(payments), as_mask(members, n)
 
 

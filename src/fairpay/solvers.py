@@ -6,7 +6,12 @@ set is priced, and above it a bound from each agent's singleton rate
 leaves out almost every set.  From SPLIT_N agents on, the value table is
 split into rows by the upper half of the agents; a bound on each row,
 from the lower half's Pareto frontier (a meet in the middle), leaves out
-most rows before they are valued, and no 2^n array is built.
+most rows before they are valued, and no 2^n array is built.  A solve
+keeps the few sets its bound could not rule out on the rows it shares
+with later solves of the same reward (rewards.table_rows); a later solve
+at the same costs prices those first, and when they reach the kept bar,
+as they do in a regime at least as loose (nd, then beta_nd with a
+growing beta, then unconstrained), it needs no bound pass at all.
 log_partition and delta_partition split a known good base set into groups
 whose best uniform-pay (or bounded-ratio) contract carries a guaranteed
 fraction of the base utility.  symmetric_solve and geometric_solve are
@@ -54,12 +59,13 @@ PRICE_BLOCK = 4096
 PRICE_ALL_N = 8
 # _table_best splits the table into rows of 2^ceil(n/2) masks from this n
 # on, and builds no 2^n array.  An nd and then a beta_nd(2) solve of one
-# random instance took, with one row against the split (ms, median of 8
-# processes x 8 instances, 2 vCPUs): coverage 2.36 / 2.38 and additive
-# 0.88 / 1.46 at n = 16, 3.47 / 2.69 and 1.66 / 1.53 at n = 17, 6.17 /
-# 3.30 and 2.50 / 1.62 at n = 18; at n = 17 the split's beta_nd solve is
-# the slower one (0.58 against 0.46 ms on additive)
-SPLIT_N = 18
+# gen_random instance took, with one row against the split (ms, median of
+# 4 processes x 4 alternating rounds x 8 instances, 2 vCPUs): coverage
+# 1.51 / 1.42 and additive 0.91 / 1.02 at n = 16, 2.52 / 1.42 and 1.56 /
+# 1.11 at n = 17, 4.73 / 1.61 and 2.82 / 1.11 at n = 18.  The beta_nd
+# solve reprices the sets the nd solve kept either way: 0.14 / 0.17 ms on
+# additive and 0.24 / 0.27 ms on coverage at n = 17.
+SPLIT_N = 17
 # masks valued and bounded per batch of rows by _table_best
 ROW_BLOCK = 1 << 14
 # 8 units in the last place of 1.0, the unit of _best_count's error bounds
@@ -158,6 +164,23 @@ def _price(values, costs, masks, mode, beta):
     return ref, ref, popc
 
 
+def _ranked(key, util, popc, masks):
+    """The smaller of the _rank key and that of the best priced mask."""
+    i = _argbest(util, popc)
+    return key if i is None else min(key, (-util[i], int(popc[i]), int(masks[i])))
+
+
+def _priced(rows, costs, masks, mode, beta, best, ref):
+    """best and ref, the _rank keys of the best sets so far in the mode
+    and unconstrained, each lowered to the best of the masks, which are
+    priced PRICE_BLOCK at a time and ascend within each block."""
+    for c in range(0, masks.size, PRICE_BLOCK):
+        block = masks[c : c + PRICE_BLOCK]
+        ref_u, util_u, popc = _price(rows.values, costs, block, mode, beta)
+        best, ref = _ranked(best, util_u, popc, block), _ranked(ref, ref_u, popc, block)
+    return best, ref
+
+
 def _row_bounds(a, b, x, y):
     """max over l of max(a[h] - x[l], 0) (b[h] + y[l]) for each row h,
     taken over the Pareto frontier of the points (x[l], y[l]): those that
@@ -220,6 +243,25 @@ def _table_best(rows, costs, mode, beta):
     Survivors are priced exactly, PRICE_BLOCK masks at a time, each once
     for both modes, and ranked by _rank.
 
+    Reuse: let tau be the lower of the two final bars.  In any regime at
+    these costs whose best utility reaches tau, every set that can win or
+    tie has a utility of at least tau, so B >= tau - BOUND_SLACK, as B
+    falls short of each utility by far less than the slack.  The kernel
+    keeps those sets on rows.survivors, with tau and the costs: each
+    batch's sets whose B reached its lower bar, a superset, as bars only
+    rise, filtered by the final tau; rows never valued held no set whose
+    B reached the bar of their time, at most tau.  A later solve at equal
+    costs prices them first, and when both of its bests among them reach
+    tau, no set outside can beat or tie them, so their _rank winners are
+    the full kernel's.  They do when the later regime is at least as
+    loose as the first: nd <= beta_nd(beta) <= beta_nd(beta') <=
+    unconstrained utility for beta <= beta', set by set, exactly, and in
+    floats but for the rounding of k top against a sum of k payments (no
+    such miss in 2,400 solves of gen_random instances at n = 9..20, each
+    after an nd solve).  Otherwise the full kernel runs and replaces what
+    is kept.  tau <= BOUND_SLACK, when the empty set may tie, keeps
+    nothing.
+
     Rows: agents 0..k-1 pick a mask's column and the rest its row h (k =
     n below SPLIT_N, one row, the dense table).  Above, k = ceil(n / 2),
     and the rows are valued best first by a bound on their sets' B, with
@@ -235,12 +277,20 @@ def _table_best(rows, costs, mode, beta):
     set that the one-row kernel would price.  Costs: O(2^k) to set up,
     O(2^(n - k) F) for the bounds of F frontier points, O(2^k) passes per
     batch valued, and O(s n) pricing of s survivors; below SPLIT_N, O(2^n)
-    contiguous passes, and s is 2^n when every set ties.
+    contiguous passes, and s is 2^n when every set ties.  A solve that
+    reuses the kept sets costs O(s' n) for the s' <= s kept, and nothing
+    else: on gen_random's coverage and additive instances at n = 16..20,
+    s' is a few dozen (at most a few hundred).
     """
     n, k = costs.size, rows.k
     if n <= PRICE_ALL_N:
         ref, util, popc = _price(rows.values, costs, np.arange(1 << n), mode, beta)
         return _argbest(util, popc), _argbest(ref, popc)
+    if rows.survivors is not None and np.array_equal(rows.survivors[0], costs):
+        _, bar, masks = rows.survivors
+        best, ref = _priced(rows, costs, masks, mode, beta, (-0.0, 0, 0), (-0.0, 0, 0))
+        if min(-best[0], -ref[0]) >= bar:
+            return best[2], ref[2]
     t_low = rows.rows(np.zeros(1, np.intp))[0]  # row 0: the low sets
     t_high = rows.values(np.arange(1 << (n - k)) << k)  # column 0: the high sets
     singles = np.concatenate([t_low[1 << np.arange(k)], t_high[1 << np.arange(n - k)]])
@@ -270,11 +320,15 @@ def _table_best(rows, costs, mode, beta):
             hit &= t > 0
         return hit
 
+    def masks_of(cand, hs):
+        """The masks at the flat indices cand of the rows hs; the one
+        row's indices are its masks."""
+        return cand if k == n else hs[cand >> k] << k | cand & (1 << k) - 1
+
     def bars(bound, hs):
         """The best (unconstrained, mode) utilities so far, raised to the
         exact ones of argmax bound."""
-        i = int(bound.argmax())
-        masks = np.array([hs[i >> k] << k | i & (1 << k) - 1])
+        masks = masks_of(np.array([bound.argmax()]), hs)
         ref_u, util_u, _ = _price(rows.values, costs, masks, mode, beta)
         return max(ref_u[0], -ref[0]), max(util_u[0], -best[0])
 
@@ -284,12 +338,8 @@ def _table_best(rows, costs, mode, beta):
         which its one batch then reads once, in place."""
         return low_fold[None] if k == n else op(low_fold, high_fold[hs, None])
 
-    def ranked(key, util, popc, masks):
-        """The smaller _rank of key and the best of the priced masks."""
-        i = _argbest(util, popc)
-        return key if i is None else min(key, (-util[i], int(popc[i]), int(masks[i])))
-
     per = max(1, ROW_BLOCK >> k)
+    held = []  # (masks, B) of the sets each batch kept by B
     mode_folds = None  # the largest rate and the member count of the low and the high sets
     for start in range(0, order.size, per):
         bar_low = min(-best[0], -ref[0])
@@ -301,7 +351,10 @@ def _table_best(rows, costs, mode, beta):
         bound = utility(row_fold(low_sum, high_sum, np.add, hs), t)
         bar_ref, bar = bars(bound, hs)
         keep = reach(bound, t, min(bar_ref, bar))
-        if mode != "unconstrained" and np.count_nonzero(keep) * n > keep.size:
+        cand = np.flatnonzero(keep)
+        masks = masks_of(cand, hs)
+        held.append((masks, bound.ravel()[cand]))
+        if mode != "unconstrained" and cand.size * n > keep.size:
             keep_ref = reach(bound, t, bar_ref)
             if mode_folds is None:
                 ones = np.ones(n, np.uint8)
@@ -319,13 +372,13 @@ def _table_best(rows, costs, mode, beta):
             bound = utility(pay, t)
             keep &= reach(bound, t, max(bar, bars(bound, hs)[1]))
             keep |= keep_ref
-        cand = np.flatnonzero(keep)  # the one row's indices are its masks
-        if k < n:
-            cand = hs[cand >> k] << k | cand & (1 << k) - 1
-        for c in range(0, cand.size, PRICE_BLOCK):
-            masks = cand[c : c + PRICE_BLOCK]
-            ref_u, util_u, popc = _price(rows.values, costs, masks, mode, beta)
-            best, ref = ranked(best, util_u, popc, masks), ranked(ref, ref_u, popc, masks)
+            masks = masks_of(np.flatnonzero(keep), hs)
+        best, ref = _priced(rows, costs, masks, mode, beta, best, ref)
+    bar = min(-best[0], -ref[0])
+    rows.survivors = None
+    if bar > BOUND_SLACK:
+        masks, bound = (np.concatenate(part) for part in zip(*held))
+        rows.survivors = (costs.copy(), bar, np.sort(masks[bound >= bar - BOUND_SLACK]))
     return best[2], ref[2]
 
 
@@ -362,7 +415,11 @@ def brute_force(
     of ROW_BLOCK masks, and at most a quarter is expected.
     candidates_examined counts all 2^n sets either way.  The rows come
     from rewards.table_rows, so consecutive solves of one reward, under
-    any modes and betas, value each row once.
+    any modes and betas, value each row once; a solve at the costs of the
+    one before it first prices only the sets that solve kept, O(s' n),
+    and is done when they reach its bar, which a regime at least as loose
+    does but for rounding: the beta_nd or unconstrained solve that follows
+    an nd solve of one instance takes no bound pass (see _table_best).
     """
     n = inst.n
     if n > limit:

@@ -416,6 +416,71 @@ def test_check_equilibrium_report_uses_the_equilibrium_gains(tmp_path, capsys):
     assert [int(line.split()[2]) for line in lines] == [1, 2]
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"payments": [float("nan")] * 3}, "must lie in [0, 1]"),
+    ({"payments": [0.1, float("inf"), 0.1]}, "must lie in [0, 1]"),
+    ({"payments": [[0.1], [0.1], [0.1]]}, "malformed 'payments'"),
+    ({"payments": [[0.1], 0.1, 0.1]}, "malformed 'payments'"),
+    ({"payments": ["0.1", "0.1", "0.1"]}, "malformed 'payments'"),
+    ({"payments": [True, False, False]}, "malformed 'payments'"),
+    ({"set": "01"}, "malformed 'set'"),
+    ({"set": [0.5]}, "malformed 'set'"),
+    ({"set": [True]}, "malformed 'set'"),
+], ids=["nan", "inf", "nested", "ragged", "strings", "bools", "set-string", "set-float",
+        "set-bool"])
+def test_malformed_result_files_exit_2(tmp_path, capsys, patch, message):
+    """check equilibrium rejects a result file whose payments are not a
+    flat list of n numbers in [0, 1], or whose set is not a list of agent
+    indices: all-NaN payments used to pass, nested ones gave a traceback,
+    and "01" was read as the set [0, 1]."""
+    inst = _gen_geo(tmp_path)
+    res = tmp_path / "r.json"
+    run(["solve", "--in", inst, "--mode", "nd", "--method", "brute", "--out", res])
+    res.write_text(json.dumps({**json.loads(res.read_text()), **patch}))
+    capsys.readouterr()
+    assert run(["check", "equilibrium", "--in", inst, "--result", res]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"costs": ["0.1", "0.1", "0.1"]}, "malformed 'costs'"),
+    ({"costs": [[0.1, 0.1, 0.1]]}, "malformed 'costs'"),
+    ({"reward": {"kind": "additive", "weights": [True, 0.5, 0.25]}}, "malformed 'weights'"),
+    ({"reward": {"kind": "capped_additive", "weights": [0.5, 0.25, 0.25], "cap": "1"}},
+     "malformed 'cap'"),
+    ({"reward": {"kind": "coverage", "elements": [{"weight": "0.5"}], "covers": [[0]] * 3}},
+     "malformed 'elements'"),
+    ({"reward": {"kind": "coverage", "elements": [{"weight": 0.5}], "covers": ["0", [], []]}},
+     "malformed 'covers'"),
+    ({"reward": {"kind": "symmetric_two_class", "f_a": 0.5, "f_b": 0.1, "count_b": 2.5}},
+     "malformed 'count_b'"),
+    ({"metadata": [1, 2]}, "metadata must be a JSON object"),
+    ({"metadata": "geometric"}, "metadata must be a JSON object"),
+    ({"n": True}, "malformed 'n'"),
+    ({"n": 3.7}, "malformed 'n'"),
+    ({"n": "3"}, "malformed 'n'"),
+], ids=["cost-strings", "nested-costs", "weight-bool", "cap-string", "weight-string",
+        "cover-string", "count-fraction", "metadata-list", "metadata-string", "n-bool",
+        "n-fraction", "n-string"])
+def test_malformed_instance_fields_exit_2(tmp_path, capsys, patch, message):
+    """Numbers given as strings or bools, nested lists, fractional counts,
+    a metadata that is not an object, which Instance.label could not
+    read, and an n that is a bool or not integral are rejected before
+    anything is solved; an integral float n is read as that integer."""
+    inst = _gen_geo(tmp_path)
+    data = json.loads(inst.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, **patch}))
+    capsys.readouterr()
+    assert run(["solve", "--in", bad, "--mode", "nd", "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    bad.write_text(json.dumps({**data, "n": float(data["n"]), "metadata": None}))
+    assert run(["solve", "--in", bad, "--mode", "nd", "--out", tmp_path / "r.json"]) == 0
+
+
 def test_check_equilibrium_needs_result(tmp_path, capsys):
     inst = _gen_geo(tmp_path)
     capsys.readouterr()

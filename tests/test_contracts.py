@@ -241,6 +241,15 @@ def test_contract_range_validation():
         Contract(np.array([-0.2, 0.5]))
 
 
+def test_contract_rejects_nan_and_nested_payments():
+    # a NaN fails every comparison, so a range test written as "below 0 or
+    # above 1" let it through
+    for bad in ([np.nan, 0.5], [np.nan] * 3, [0.5, np.inf], [[0.1], [0.2]], 0.5):
+        with pytest.raises(ParameterError):
+            Contract(np.array(bad))
+    assert Contract(np.array([0.0, 1.0])).total() == 1.0
+
+
 # ---------------------------------------------------------------------------
 # the array paths against the per-agent scalar versions they replaced
 

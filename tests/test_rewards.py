@@ -249,7 +249,7 @@ def test_value_table_matches_pointwise_eval():
             former = np.concatenate([former, former + w])
         cap = getattr(f, "cap", 1.0)
         assert f.value_table().tobytes() == np.clip(former, 0.0, cap).tobytes()
-    # coverage tables add element weights in ascending order, as the
+    # coverage tables add element weights chunk by chunk, as the
     # pointwise evaluation does, so they agree bit for bit; also with one
     # agent, with an element every agent covers, and above 64 elements
     rng = np.random.default_rng(13)
@@ -262,37 +262,40 @@ def test_value_table_matches_pointwise_eval():
     for f in coverages:
         table = f.value_table()
         assert np.array_equal(table, [f.value(mask) for mask in range(1 << f.n)])
-    # and byte-identical to the strided build it replaced, past one row of
-    # 2^ROW_BITS masks and past one gather block
+    # and byte-identical to a plain loop in that order, past one row of
+    # 2^ROW_BITS masks and past one gather block: every mask up to
+    # n = 12, and a sample of them above
+    rng = np.random.default_rng(19)
     for n in range(1, 19):
         f = gen_random("coverage", n, seed=n).reward
-        assert f.value_table().tobytes() == _strided_value_table(f).tobytes()
+        masks = np.arange(1 << n) if n <= 12 else rng.integers(0, 1 << n, 2000)
+        assert f.value_table()[masks].tobytes() == _chunk_loop_values(f, masks).tobytes()
     sym = SymmetricTwoClass(0.4, 0.05, 6)
     table = sym.value_table()
     for mask in range(1 << 7):
         assert table[mask] == pytest.approx(sym.value(mask), abs=1e-12)
 
 
-def _strided_value_table(f):
-    """The strided-block coverage build that the prefix lookup replaced,
-    kept as a reference: element weights in ascending order, each added
-    to one block per agent k covering it (bit k set, the covering agents
-    above k clear), viewed with one axis per agent."""
-    n = f.n
-    table = np.zeros(1 << n)
-    grid = table.reshape((2,) * n)
-    holders = [[] for _ in f.element_weights]
-    for i, cover in enumerate(f.covers):
-        for e in cover:
-            holders[e].append(i)
-    for w, agents in zip(f.element_weights, holders):
-        index = [slice(None)] * n
-        for k in reversed(agents):
-            index[n - 1 - k] = 1
-            block = grid[(*index, ...)]  # a view even with every axis fixed
-            block += w
-            index[n - 1 - k] = 0
-    return np.clip(table, 0.0, 1.0, out=table)
+def _chunk_loop_values(f, masks):
+    """Coverage values as a plain loop, the reference: the covered weights
+    of each chunk of CHUNK elements added in ascending order from 0.0,
+    then the chunk sums in chunk order, clipped to [0, 1]."""
+    covers = [sum(1 << e for e in cover) for cover in f.covers]
+    weights = f.element_weights.tolist()
+    out = []
+    for mask in masks.tolist():
+        covered = 0
+        for i in mask_to_indices(mask):
+            covered |= covers[i]
+        total = 0.0
+        for start in range(0, len(weights), rewards.CHUNK):
+            chunk = 0.0
+            for e in range(start, min(start + rewards.CHUNK, len(weights))):
+                if covered >> e & 1:
+                    chunk += weights[e]
+            total += chunk
+        out.append(min(max(total, 0.0), 1.0))
+    return np.array(out)
 
 
 def test_dense_table_is_shared_and_read_only():

@@ -18,7 +18,7 @@ from fairpay.contracts import (
     is_equilibrium,
     optimal_contract_for_set,
 )
-from fairpay import rewards
+from fairpay import rewards, solvers
 from fairpay.errors import EmptySetError, ParameterError, SizeLimitError, StructureError
 from fairpay.experiments import random_two_agent_instance, solve_with
 from fairpay.families import (
@@ -568,7 +568,7 @@ def test_brute_force_above_the_split_builds_no_table():
             ]
 
 
-@pytest.mark.parametrize("n", [SPLIT_N, SPLIT_N + 1, SPLIT_N + 2])
+@pytest.mark.parametrize("n", range(SPLIT_N, 21))
 def test_rows_valued_stay_within_a_quarter(n):
     """brute_force's docstring: the nd and beta_nd solves of a random
     instance value at most a quarter of the rows between them."""
@@ -579,6 +579,69 @@ def test_rows_valued_stay_within_a_quarter(n):
             brute_force(inst, ModeSpec.beta_nd(2.0))
             rows = rewards.table_rows(inst.reward, (n + 1) // 2)
             assert 0 < rows.valued <= (1 << (n - rows.k)) / 4, (kind, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=st.one_of(
+        st.builds(
+            _random_instance,
+            st.sampled_from(["additive", "coverage", "capped_additive", "explicit"]),
+            st.integers(1, 14),
+            st.integers(0, 10_000),
+        ),
+        _nudged_explicit(),
+        _equal_rate_instances(),
+        _spread_rate_instances(),
+        _split_instances(),
+    ),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["unconstrained", "nd", "beta_nd"]), _BETAS, st.booleans()),
+        min_size=3,
+        max_size=6,
+    ),
+    split=st.booleans(),
+    scale=st.sampled_from([0.5, 1.0 + 2.0**-52, 3.0]),
+)
+def test_later_solves_reuse_the_sets_kept_by_the_first(inst, steps, split, scale):
+    """Consecutive solves of one reward, in any order of regimes, some
+    with the costs rescaled, report byte for byte what a solve from an
+    emptied slot reports, whether the kept sets decide them or the full
+    kernel runs.  split patches SPLIT_N to 0, so that the rows are split."""
+    other = Instance(inst.n, inst.costs * scale, inst.reward)
+    solves = [(other if rescaled else inst, _spec(mode, beta, inst.n))
+              for mode, beta, rescaled in steps]
+    patched = {"PRICE_ALL_N": 0, "SPLIT_N": 0 if split else SPLIT_N}
+    with mock.patch.multiple("fairpay.solvers", **patched):
+        cold = [_cold(brute_force, case, spec) for case, spec in solves]
+        rewards.dense_table(Additive([0.5]))
+        assert [_report_bytes(brute_force(case, spec)) for case, spec in solves] == cold
+
+
+@pytest.mark.parametrize("n", [12, SPLIT_N, 20])
+def test_a_solve_after_nd_prices_only_the_kept_sets(n):
+    """After an nd solve, a beta_nd or unconstrained solve of the same
+    instance prices the sets the nd solve kept, and no others: it values
+    no row and so takes no bound pass."""
+    for kind in ("coverage", "additive", "capped_additive"):
+        for seed in range(3):
+            inst = gen_random(kind, n, seed=seed)
+            for spec in (ModeSpec.beta_nd(2.0), ModeSpec.beta_nd(1e6), ModeSpec.unconstrained()):
+                expected = _cold(brute_force, inst, spec)
+                brute_force(inst, ModeSpec.nd())
+                k = n if n < SPLIT_N else (n + 1) // 2
+                kept = rewards.table_rows(inst.reward, k).survivors[2]
+                assert 0 < kept.size <= 300
+                priced, price = [], solvers._price
+
+                def counted(values, costs, masks, mode, beta):
+                    priced.append(masks.size)
+                    return price(values, costs, masks, mode, beta)
+
+                with mock.patch.object(solvers, "_price", counted), \
+                        _count_calls(rewards.TableRows, "rows") as rows:
+                    assert _report_bytes(brute_force(inst, spec)) == expected
+                assert sum(priced) == kept.size and rows.call_count == 0
 
 
 def test_bound_scan_breaks_ties_like_full_pass():

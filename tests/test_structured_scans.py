@@ -309,8 +309,11 @@ def _doubling_runs_off_the_family(draw):
         costs = [draw(st.floats(0.01, 1.2)) * w for w in weights]
     else:
         costs = [draw(st.floats(0.001, 0.1)) / s**2 for s in sizes]
-    # only a coincidence lands a draw in the family
+    # only a coincidence lands a draw in the family, or gives two adjacent
+    # runs one (weight, cost), which merges them into one run of another size
     assume(weights != family_weights or any(c * s**2 != costs[0] for c, s in zip(costs, sizes)))
+    runs = list(zip(weights, costs))
+    assume(all(run != later for run, later in zip(runs, runs[1:])))
     metadata = gen_geometric_family(m, 3.0).metadata
     return Instance((1 << m) - 1, np.repeat(costs, sizes), Additive(np.repeat(weights, sizes)),
                     metadata)
