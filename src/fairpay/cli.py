@@ -16,7 +16,7 @@ import time
 
 from .contracts import COMPARE_TOL, ModeSpec, effort_gains, is_equilibrium
 from .errors import FairpayError, ParameterError
-from .experiments import build_instance, run_sweep, solve_with
+from .experiments import FAMILIES, METHODS, build_instance, run_sweep, solve_with
 from .rewards import check_structure, json_object, mask_to_indices, reward_from_descriptor
 from .serialize import (
     load_instance,
@@ -28,24 +28,8 @@ from .serialize import (
 )
 from .solvers import delta_bands, two_agent_bound
 
-FAMILIES = (
-    "geometric",
-    "lemma8",
-    "lemma9",
-    "tight2",
-    "random-additive",
-    "random-coverage",
-    "random-capped",
-)
-
-METHOD_FLAGS = {
-    "brute": "brute",
-    "symmetric": "symmetric",
-    "two-agent": "two_agent",
-    "log-partition": "log_partition",
-    "delta-partition": "delta_partition",
-    "geometric": "geometric",
-}
+# the methods as solve --method spells them, with "-" for "_"
+METHOD_FLAGS = sorted(method.replace("_", "-") for method in METHODS)
 
 
 @functools.cache
@@ -80,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = solve.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float)
     group.add_argument("--delta", type=float, help="shorthand for --beta n^delta")
-    solve.add_argument("--method", choices=sorted(METHOD_FLAGS), default="brute")
+    solve.add_argument("--method", choices=METHOD_FLAGS, default="brute")
     solve.add_argument(
         "--workers",
         type=int,
@@ -135,7 +119,7 @@ def cmd_solve(args) -> int:
     spec = ModeSpec(args.mode.replace("-", "_"), beta)
 
     start = time.perf_counter()
-    report = solve_with(inst, spec, METHOD_FLAGS[args.method], workers=args.workers)
+    report = solve_with(inst, spec, args.method.replace("-", "_"), workers=args.workers)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     save_report(report, args.out, timing_ms=elapsed_ms)
     members = report.best.member_list()

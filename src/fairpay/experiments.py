@@ -181,6 +181,17 @@ class SweepSpec:
             raise ParameterError("sweeps over random families require an explicit seed")
 
 
+FAMILIES = (
+    "geometric",
+    "lemma8",
+    "lemma9",
+    "tight2",
+    "random-additive",
+    "random-coverage",
+    "random-capped",
+)
+
+
 def build_instance(family: str, params: dict, seed: int | None = None) -> Instance:
     """Construct a family instance from a flat parameter mapping."""
     try:

@@ -5,6 +5,10 @@ the project succeeds when exactly those agents exert effort.  All functions
 are normalized (empty set maps to 0) and, except for explicit tables, are
 monotone submodular by construction.  Subsets are bitmasks over agent
 indices 0..n-1 everywhere; bit i set means agent i is in the set.
+
+Each kind values sets in bulk through one row oracle, _oracle(k), which
+value_table fills the dense table from unless the kind has a closed
+form; TableRows keeps the rows that solves ask for.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ EXHAUSTIVE_CHECK_LIMIT = 22
 # pairs at once, 32 MB: one block of agents up to n = 17, one agent at
 # n = 22, where all n rows would take 738 MB.
 GAINS_BLOCK = 1 << 22
-# Coverage.value_table views the table as rows of 2^ROW_BITS masks, one
-# per combination of the agents above the lowest ROW_BITS, and fills them
-# GATHER_BLOCK masks at a time, 128 KB of table, with 256 KB of index and
-# lookup buffers; _add_where lays out GATHER_BLOCK terms at a time.
+# RewardFunction.value_table views the table as rows of 2^ROW_BITS masks,
+# one per combination of the agents above the lowest ROW_BITS, and fills
+# them GATHER_BLOCK masks at a time, 128 KB of table, with 256 KB of index
+# and lookup buffers for coverage; _add_where lays out GATHER_BLOCK terms
+# at a time.
 ROW_BITS = 12
 GATHER_BLOCK = 1 << 14
 # Coverage sums its weights in chunks of CHUNK elements, one lookup in a
@@ -125,30 +130,26 @@ class RewardFunction(ABC):
         return out
 
     def value_table(self) -> np.ndarray:
-        """Dense table of f over all 2^n bitmasks (index = mask)."""
-        table = np.fromiter(
-            (self._value_of_mask(m) for m in range(1 << self.n)),
-            dtype=float,
-            count=1 << self.n,
-        )
-        return np.clip(table, 0.0, 1.0)
-
-    def values(self, masks) -> np.ndarray:
-        """f of each mask in an integer array of any shape, bit for bit
-        value_table()[masks], without building the table."""
-        masks = np.asarray(masks)
-        if masks.size and (
-            masks.dtype.kind not in "iu" or masks.min() < 0 or masks.max() >= 1 << self.n
-        ):
-            raise InvalidSubsetError(f"masks must be integers in [0, 2^{self.n})")
-        return self._oracle(min(self.n, ROW_BITS))[0](masks.astype(np.int64))
+        """Dense table of f over all 2^n bitmasks (index = mask): _oracle's
+        rows of 2^min(n, ROW_BITS) masks, GATHER_BLOCK masks at a time.
+        Transient memory beside the table: one block of rows and what
+        _oracle holds.  Additive, capped and explicit rewards override it
+        with their closed forms."""
+        low = min(self.n, ROW_BITS)
+        rows = self._oracle(low)[1]
+        table = np.empty(1 << self.n)
+        grid = table.reshape(-1, 1 << low)
+        step = max(1, GATHER_BLOCK >> low)
+        for r in range(0, len(grid), step):
+            grid[r : r + step] = rows(np.arange(r, min(r + step, len(grid))))
+        return table
 
     def _oracle(self, k: int):
         """(values, rows): values maps an int64 array of masks to f of
         each, and rows maps an int64 array of r row indices to the r x 2^k
-        array value_table().reshape(-1, 1 << k)[rows], both bit for bit
-        value_table()'s entries.  They hold the lookup tables that takes,
-        so that a caller valuing many batches builds them once."""
+        array of f of the masks h << k | l, l < 2^k, for each row h, both
+        bit for bit value_table()'s entries.  They hold the lookup tables
+        that takes, so that a caller valuing many batches builds them once."""
 
         def values(masks):
             flat = np.fromiter(map(self._value_of_mask, masks.ravel().tolist()), float, masks.size)
@@ -302,8 +303,8 @@ class Coverage(RewardFunction):
     most 1 so every value is a probability.  Every evaluation sums the
     covered weights in one order: in chunks of CHUNK elements, ascending
     from 0.0 within a chunk, then the chunk sums in chunk order, so that
-    value, marginals, values, value_table and the rows of table_rows are
-    bit for bit the same floats.
+    value, marginals, value_table and _oracle's values and rows are bit
+    for bit the same floats.
     """
 
     kind = "coverage"
@@ -381,7 +382,7 @@ class Coverage(RewardFunction):
         the others (hi, per row), so entry (row, col) is its table's entry
         hi[row] | lo[col].  Besides the lookups, the chunk tables, 2^CHUNK
         entries each, and lo and hi are built.  rows writes the first
-        chunk's lookups into out, or a new array, and adds the others'."""
+        chunk's lookups into a new array and adds the others'."""
         w = self.element_weights
         parts = []
         for start in range(0, max(1, w.size), CHUNK):
@@ -401,8 +402,8 @@ class Coverage(RewardFunction):
                 out += table[hi[hs] | lo[ls]]
             return np.clip(out, 0.0, 1.0, out=out).reshape(masks.shape)
 
-        def rows(hs, out=None):
-            out = np.empty((hs.size, col + 1)) if out is None else out
+        def rows(hs):
+            out = np.empty((hs.size, col + 1))
             index, chunk = np.empty(out.shape, np.intp), np.empty(out.shape)
             for c, (table, lo, hi) in enumerate(parts):
                 np.bitwise_or(hi[hs, None], lo, out=index)
@@ -413,21 +414,6 @@ class Coverage(RewardFunction):
             return np.clip(out, 0.0, 1.0, out=out)
 
         return values, rows
-
-    def value_table(self) -> np.ndarray:
-        """Dense table of f, bit for bit equal to the pointwise evaluation:
-        _oracle's rows of 2^ROW_BITS masks, GATHER_BLOCK masks at a time,
-        each block written in place.  Transient memory beside the table:
-        one block's indices and chunk lookups, 256 KB, the chunk tables
-        and lo and hi."""
-        low = min(self.n, ROW_BITS)
-        rows = self._oracle(low)[1]
-        table = np.empty(1 << self.n)
-        grid = table.reshape(-1, 1 << low)
-        step = max(1, GATHER_BLOCK >> low)
-        for r in range(0, len(grid), step):
-            rows(np.arange(r, min(r + step, len(grid))), out=grid[r : r + step])
-        return table
 
     def descriptor(self) -> dict:
         return {
@@ -452,10 +438,8 @@ class ExplicitTable(RewardFunction):
         t = np.array(table, dtype=float)
         if n < 1:
             raise ParameterError("n must be at least 1")
-        if t.size != (1 << n):
-            raise ParameterError(
-                f"explicit table needs exactly 2^{n} = {1 << n} entries, got {t.size}"
-            )
+        if n >= 63 or t.size != 1 << n:  # no array holds 2^63 entries
+            raise ParameterError(f"explicit table needs exactly 2^{n} entries, got {t.size}")
         if not np.all(np.isfinite(t)):
             raise ParameterError("table values must be finite")
         if np.any(t < -VALUE_TOL) or np.any(t > 1 + VALUE_TOL):
@@ -531,8 +515,10 @@ class TableRows:
     below k pick a mask's column and the others its row, so row h holds f
     of the masks h << k | l, l < 2^k, bit for bit the entries of
     value_table().reshape(-1, 1 << k)[h].  Each row is valued the first
-    time it is asked for, and kept.  With k = n the one row is the whole
-    table, built by value_table(), read-only, and kept as table.
+    time it is asked for, by f._oracle(k), and kept: values reads single
+    masks from the kept rows, where the sets an earlier solve kept lie,
+    and values the others through the oracle.  With k = n the one row is
+    the whole table, built by value_table(), read-only, and kept as table.
 
     survivors is None or, set by the last bounded brute-force solve over
     these rows, (costs, bar, masks): the costs it was solved with, the
@@ -626,23 +612,20 @@ def halves(arr: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     Viewed as reshape(..., -1, 2, bit), [..., 0, :] holds the masks
     without the bit and [..., 1, :] their partners with it (the stride
     layout of Yates' subset transform), so per-mask work runs on views,
-    with no mask or index arrays.  For the lowest bits the short axis goes
-    first, so that numpy's inner loop runs along the long one; such a view
-    is then not in mask order when flattened.
+    with no mask or index arrays.  Both views are in mask order when
+    flattened: flat entry k of the without half is the mask
+    k // bit * 2 * bit + k % bit.
     """
     v = arr.reshape(*arr.shape[:-1], -1, 2, bit)
-    if bit <= 4:
-        return v[..., 0, :].swapaxes(-1, -2), v[..., 1, :].swapaxes(-1, -2)
     return v[..., 0, :], v[..., 1, :]
 
 
 def _first_mask(hit: np.ndarray, bit: int) -> int | None:
     """Smallest mask at which hit, a condition evaluated on the without
-    half of halves(table, bit), holds; None if it holds nowhere."""
-    if not hit.any():
-        return None
-    masks = halves(np.arange(2 * hit.size), bit)[0]
-    return int(masks[hit].min())
+    half of halves(table, bit), holds; None if it holds nowhere.  The
+    half is in mask order, so that is hit's first true entry."""
+    k = int(hit.argmax())
+    return k // bit * 2 * bit + k % bit if hit.flat[k] else None
 
 
 @dataclass(frozen=True)
@@ -666,13 +649,12 @@ class StructureReport:
 
 def check_structure(
     f: RewardFunction,
-    exhaustive_limit: int = EXHAUSTIVE_CHECK_LIMIT,
     samples: int | None = None,
     seed: int | None = None,
 ) -> StructureReport:
     """Verify monotonicity and submodularity of a reward function.
 
-    Up to exhaustive_limit agents every condition is evaluated on the
+    Up to EXHAUSTIVE_CHECK_LIMIT agents every condition is evaluated on the
     dense table, read through dense_table, so a solve of the same reward
     that follows reuses it: monotonicity as f(S + i) >= f(S) for all S
     and i not in S, and submodularity in its pairwise form f(i | S + j)
@@ -692,7 +674,7 @@ def check_structure(
         raise ParameterError(f"samples must be at least 1, got {samples}")
     n = f.n
     mono = sub = None
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_CHECK_LIMIT:
         table = dense_table(f)
         rows = max(1, GAINS_BLOCK >> n)
         found_mono, found_sub = [], []
@@ -724,7 +706,7 @@ def check_structure(
     else:
         if samples is None:
             raise SizeLimitError(
-                f"n={n} exceeds the exhaustive limit {exhaustive_limit}; "
+                f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_CHECK_LIMIT}; "
                 "pass samples= (with seed=) to sample-check"
             )
         if seed is None:

@@ -127,7 +127,8 @@ def result_contract(data: dict, n: int) -> tuple[Contract, int]:
 # ---------------------------------------------------------------------------
 # sweep configuration: flat "key = value" lines, '#' comments
 
-_LIST_KEYS = ("values",)
+# the family parameters that are counts, read as integers
+_COUNT_KEYS = ("m", "n")
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
@@ -158,17 +159,25 @@ def parse_sweep_config(text: str) -> SweepSpec:
         if convert rejects it."""
         return read_field({key: entries.pop(key)}, key, convert, "sweep config")
 
-    def floats(raw):
-        return [float(v) for v in raw.split(",") if v.strip()]
+    def count(raw):
+        """A count, such as 5 or 5.0; ValueError for 5.5."""
+        return read_int(float(raw))
 
     family = entries.pop("family")
     grid = entries.pop("grid")
-    grid_values = number("values", floats) if "values" in entries else []
+
+    def points(raw):
+        """The grid points, as floats, which run_sweep's error records
+        print; those of a count must be integral."""
+        convert = count if grid in _COUNT_KEYS else float
+        return [float(convert(v)) for v in raw.split(",") if v.strip()]
+
+    grid_values = number("values", points) if "values" in entries else []
     mode = entries.pop("mode", "beta_nd" if grid in ("beta", "delta") else "nd").replace("-", "_")
     method_opt = entries.pop("method_opt", "brute").replace("-", "_")
     method_nd = entries.pop("method_nd", "brute").replace("-", "_")
     seed = number("seed", int) if "seed" in entries else None
-    params = {key: number(key, float) for key in list(entries)}
+    params = {key: number(key, count if key in _COUNT_KEYS else float) for key in list(entries)}
 
     return SweepSpec(
         family=family,

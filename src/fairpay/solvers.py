@@ -394,7 +394,6 @@ def brute_force(
     inst: Instance,
     spec: ModeSpec,
     workers: int = 1,
-    limit: int = BRUTE_FORCE_LIMIT,
 ) -> SolveReport:
     """Exact optimum over all 2^n subsets of the value table.
 
@@ -422,9 +421,9 @@ def brute_force(
     an nd solve of one instance takes no bound pass (see _table_best).
     """
     n = inst.n
-    if n > limit:
+    if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
-            f"brute force over 2^{n} subsets exceeds the limit ({limit}); "
+            f"brute force over 2^{n} subsets exceeds the limit ({BRUTE_FORCE_LIMIT}); "
             "use the symmetric or partition methods"
         )
     k = n if n < SPLIT_N else (n + 1) // 2

@@ -529,6 +529,11 @@ def test_sweep_config_values_must_be_numbers(tmp_path, capsys):
         ("family = geometric\nT = 3\ngrid = m\nvalues = 2, abc\n", "'values'"),
         ("family = random-additive\ngrid = n\nvalues = 4\nseed = 1.5\n", "'seed'"),
         ("family = geometric\nT = high\ngrid = m\nvalues = 2\n", "'T'"),
+        # sizes are integers: neither a grid point nor a parameter is truncated
+        ("family = random-additive\ngrid = n\nvalues = 4, 5.5\nseed = 1\n", "'values'"),
+        ("family = geometric\nT = 3\ngrid = m\nvalues = 2, inf\n", "'values'"),
+        ("family = geometric\nT = 3\nm = 3.7\ngrid = delta\nvalues = 0.5\n", "'m'"),
+        ("family = random-additive\nn = 6.5\ngrid = beta\nvalues = 2\nseed = 1\n", "'n'"),
     ):
         cfg.write_text(body)
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 2

@@ -1,0 +1,203 @@
+"""CLI fuzz tests: mutated instance, result and sweep files either run or
+exit 2 with one error line; no exception escapes main.
+
+Every mutation is one edit of a small valid file.  Sizes stay capped: a
+huge int only replaces fields read before anything is allocated from
+them, and a sweep's counts are replaced by small ones only, since a
+sweep builds the instance its m or n asks for.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fairpay.cli import main
+
+# the values a JSON field is replaced by: other types, non-finite and
+# fractional numbers, and ints beyond int64
+JSON_VALUES = [
+    None, True, False, "x", "1", [], {}, math.nan, math.inf, -math.inf,
+    0, -1, 1, 0.5, 1.5, 1e308, 2**63, -(2**63), 10**30,
+]
+# the values a sweep config entry is replaced by; its numbers stay small
+SWEEP_VALUES = [
+    "abc", "nan", "inf", "-inf", "1e400", "-1", "0", "2", "1.5", "0.5", "true",
+    "2, abc", "3,", ",", "geometric", "tight2", "random-additive", "n", "m", "beta",
+    "brute", "symmetric", "two-agent", "nd", "beta-nd",
+]
+
+INSTANCES = {
+    "geometric": ["gen", "geometric", "--m", "2", "--T", "2"],
+    "additive": ["gen", "random-additive", "--n", "4", "--seed", "1"],
+    "coverage": ["gen", "random-coverage", "--n", "4", "--seed", "2"],
+    "capped": ["gen", "random-capped", "--n", "4", "--seed", "3"],
+    "tight2": ["gen", "tight2", "--beta", "2"],
+}
+WRITTEN = {
+    "explicit": {
+        "version": "1", "n": 2, "costs": [0.05, 0.1],
+        "reward": {"kind": "explicit", "n": 2, "table": [0.0, 0.4, 0.5, 0.7]},
+        "metadata": {"label": "explicit"},
+    },
+    "two-class": {
+        "version": "1", "n": 4, "costs": [0.1, 0.01, 0.01, 0.01],
+        "reward": {"kind": "symmetric_two_class", "f_a": 0.35, "f_b": 0.08, "count_b": 3},
+        "metadata": {"family": "lemma9", "n": 4, "epsilon": 1e-06},
+    },
+}
+SWEEPS = [
+    "family = geometric\nT = 3\ngrid = m\nvalues = 2, 3\nmethod_nd = geometric\n",
+    "family = random-coverage\ngrid = n\nvalues = 3, 4\nseed = 1\ncost_margin = 0.5\n",
+    "family = tight2\nepsilon = 1e-6\ngrid = beta\nvalues = 1, 3\n"
+    "method_opt = two-agent\nmethod_nd = two-agent\n",
+    "family = random-additive\nn = 4\nseed = 2\ngrid = delta\nvalues = 0.5, 1\n",
+]
+
+
+def _run(argv):
+    """main(argv)'s exit code and stderr; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _check(argv):
+    code, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Valid instance files, each with the result of its nd solve."""
+    root = tmp_path_factory.mktemp("fuzz")
+    out = {}
+    for name, argv in INSTANCES.items():
+        path = root / f"{name}.json"
+        assert _run([*argv, "--out", path])[0] == 0
+        out[name] = path
+    for name, data in WRITTEN.items():
+        out[name] = root / f"{name}.json"
+        out[name].write_text(json.dumps(data))
+    results = {}
+    for name, path in out.items():
+        results[name] = root / f"{name}.result.json"
+        assert _run(["solve", "--in", path, "--mode", "nd", "--out", results[name]])[0] in (0, 3)
+    return root, out, results
+
+
+def _paths(data, path=()):
+    """Every position in a JSON value, as a tuple of keys and indices."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@st.composite
+def _mutated_json(draw, data):
+    """The text of data with one edit: a field replaced, nested, cut
+    short, lengthened or deleted, or the whole text truncated."""
+    data = json.loads(json.dumps(data))
+    path = draw(st.sampled_from(list(_paths(data))))
+    edit = draw(st.sampled_from(["replace", "nest", "shorten", "lengthen", "delete", "truncate"]))
+    if edit == "truncate":
+        text = json.dumps(data)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if not path:
+        return json.dumps(draw(st.sampled_from(JSON_VALUES)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    if edit == "delete":
+        del parent[key]
+    elif edit == "nest":
+        parent[key] = [old]
+    elif edit in ("shorten", "lengthen") and isinstance(old, list):
+        parent[key] = old[:-1] if edit == "shorten" else old + old[-1:]
+    else:
+        parent[key] = draw(st.sampled_from(JSON_VALUES))
+    return json.dumps(data)
+
+
+@st.composite
+def _mutated_sweep(draw):
+    """A valid sweep config with one line replaced, deleted, repeated or
+    added, or with one value replaced by a small one."""
+    lines = draw(st.sampled_from(SWEEPS)).splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["value", "key", "delete", "repeat", "junk", "truncate"]))
+    key, value = (part.strip() for part in lines[at].split("=", 1))
+    if edit == "value":
+        lines[at] = f"{key} = {draw(st.sampled_from(SWEEP_VALUES))}"
+    elif edit == "key":
+        new = draw(st.sampled_from(["m", "n", "T", "M", "beta", "delta", "seed", "mode", "grid"]))
+        lines[at] = f"{new} = {value}"
+    elif edit == "delete":
+        del lines[at]
+    elif edit == "repeat":
+        lines.insert(at, lines[at])
+    elif edit == "junk":
+        lines.insert(at, draw(st.sampled_from(["garbage", "= 3", "key =", "a = b = c", "# x"])))
+    text = "\n".join(lines)
+    return text[: draw(st.integers(0, len(text)))] if edit == "truncate" else text
+
+
+_fuzz = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz
+@given(data=st.data())
+def test_mutated_instance_files_solve_or_exit_2(files, data):
+    root, instances, _ = files
+    name = data.draw(st.sampled_from(sorted(instances)))
+    bad = root / "bad-instance.json"
+    bad.write_text(data.draw(_mutated_json(json.loads(instances[name].read_text()))))
+    _check(["solve", "--in", bad, "--mode", "nd", "--out", root / "bad.result.json"])
+    _check(["solve", "--in", bad, "--mode", "beta-nd", "--beta", "2", "--out",
+            root / "bad.result.json"])
+    _check(["check", "structure", "--in", bad])
+
+
+@_fuzz
+@given(data=st.data())
+def test_mutated_result_files_check_or_exit_2(files, data):
+    root, instances, results = files
+    name = data.draw(st.sampled_from(sorted(results)))
+    bad = root / "bad-result.json"
+    bad.write_text(data.draw(_mutated_json(json.loads(results[name].read_text()))))
+    _check(["check", "equilibrium", "--in", instances[name], "--result", bad])
+
+
+@_fuzz
+@given(text=_mutated_sweep())
+def test_mutated_sweep_configs_run_or_exit_2(files, text):
+    root = files[0]
+    cfg = root / "bad.cfg"
+    cfg.write_text(text)
+    _check(["sweep", "--config", cfg, "--out", root / "bad.csv"])
+
+
+@pytest.mark.parametrize("n", [63, 2**63, 10**30, 1e308])
+def test_huge_explicit_n_exit_2(files, n):
+    """An explicit table's n is compared with its size without building
+    2^n: the fuzzer found that 2^63 gave a MemoryError and 10^30 an
+    OverflowError."""
+    root = files[0]
+    bad = root / "huge-n.json"
+    bad.write_text(json.dumps({**WRITTEN["explicit"],
+                               "reward": {**WRITTEN["explicit"]["reward"], "n": n}}))
+    for argv in (["solve", "--in", bad, "--mode", "nd", "--out", root / "r.json"],
+                 ["check", "structure", "--in", bad]):
+        code, err = _run(argv)
+        assert code == 2 and err.count("\n") == 1 and "needs exactly 2^" in err

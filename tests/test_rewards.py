@@ -570,17 +570,17 @@ def test_check_structure_matches_per_condition_loop(f, rows):
 @settings(max_examples=100, deadline=None)
 @given(f=st.one_of(_rewards(), _coverages()), data=st.data(), small_blocks=st.booleans())
 def test_values_and_rows_match_the_value_table(f, data, small_blocks):
-    """values(masks) and TableRows of every width read value_table()'s
-    entries bit for bit, from kept rows or valued alone; small_blocks
-    shrinks GATHER_BLOCK so that values() spans several blocks."""
+    """_oracle(k)'s values and TableRows of every width read
+    value_table()'s entries bit for bit, from kept rows or valued alone;
+    small_blocks shrinks GATHER_BLOCK so that values spans several blocks."""
     table = f.value_table()
     masks = np.array(data.draw(st.lists(st.integers(0, table.size - 1), max_size=40)), np.int64)
     with mock.patch.object(rewards, "GATHER_BLOCK", 4 if small_blocks else rewards.GATHER_BLOCK):
-        assert f.values(np.arange(table.size)).tobytes() == table.tobytes()
-        assert f.values(masks.reshape(-1, 2) if masks.size % 2 == 0 else masks).tobytes() == (
-            table[masks.reshape(-1, 2) if masks.size % 2 == 0 else masks].tobytes()
-        )
         for k in range(f.n + 1):
+            values = f._oracle(k)[0]
+            assert values(np.arange(table.size)).tobytes() == table.tobytes()
+            pairs = masks.reshape(-1, 2) if masks.size % 2 == 0 else masks
+            assert values(pairs).tobytes() == table[pairs].tobytes()
             store = rewards.TableRows(f, k)
             grid = table.reshape(-1, 1 << k)
             hs = np.array(data.draw(st.lists(st.integers(0, len(grid) - 1), max_size=5)), np.intp)
@@ -590,14 +590,6 @@ def test_values_and_rows_match_the_value_table(f, data, small_blocks):
             assert store.values(masks[:, None] ^ np.arange(2)).tobytes() == (
                 table[masks[:, None] ^ np.arange(2)].tobytes()
             )
-
-
-def test_values_rejects_bad_masks():
-    f = Coverage([0.5, 0.5], [[0], [1], [0, 1]])
-    for bad in ([8], [-1], [0.5], ["1"]):
-        with pytest.raises(InvalidSubsetError):
-            f.values(bad)
-    assert f.values([]).size == 0
 
 
 def test_table_rows_are_shared_and_the_whole_table_is_dense_table():

@@ -84,9 +84,11 @@ def test_brute_force_huge_beta_matches_unconstrained():
 
 
 def test_brute_force_size_limit():
-    inst = gen_random("additive", 8, seed=2)
-    with pytest.raises(SizeLimitError, match="symmetric or partition"):
-        brute_force(inst, ModeSpec.nd(), limit=6)
+    n = solvers.BRUTE_FORCE_LIMIT + 1
+    inst = Instance(n, np.full(n, 1e-3), Additive(np.full(n, 1.0 / n)))
+    with mock.patch.object(solvers, "table_rows", side_effect=AssertionError("table built")):
+        with pytest.raises(SizeLimitError, match="symmetric or partition"):
+            brute_force(inst, ModeSpec.nd())
 
 
 def test_brute_force_worker_independence():
