@@ -110,16 +110,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _n_to_delta(n: int, delta: float) -> float:
+    """n^delta, ParameterError when it overflows a float."""
+    try:
+        return n**delta
+    except OverflowError:
+        raise ParameterError(f"n^delta overflows at delta={delta:g}") from None
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.infile)
-    try:
-        beta = args.beta if args.delta is None else inst.n**args.delta
-    except OverflowError:
-        raise ParameterError(f"n^delta overflows at delta={args.delta:g}") from None
+    beta = args.beta if args.delta is None else _n_to_delta(inst.n, args.delta)
     spec = ModeSpec(args.mode.replace("-", "_"), beta)
 
     start = time.perf_counter()
-    report = solve_with(inst, spec, args.method.replace("-", "_"), workers=args.workers)
+    report = solve_with(inst, spec, args.method.replace("-", "_"))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     save_report(report, args.out, timing_ms=elapsed_ms)
     members = report.best.member_list()
@@ -176,7 +181,7 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_sweep_config(args.config)
-    records = run_sweep(spec, out_path=args.out, workers=args.workers)
+    records = run_sweep(spec, out_path=args.out)
     ratios = [r.ratio for r in records if r.ratio is not None]
     failures = sum(1 for r in records if r.error is not None)
     lo = f"{min(ratios):.6g}" if ratios else "-"
@@ -196,6 +201,7 @@ def cmd_bound(args) -> int:
     if args.n is not None and args.n < 1:
         raise ParameterError(f"n must be at least 1, got {args.n}")
     t = delta_bands(args.delta) if args.delta is not None else None
+    beta = _n_to_delta(args.n, args.delta) if t is not None else None
     if args.beta is not None:
         print(f"two-agent ratio bound at beta={args.beta:g}: {two_agent_bound(args.beta):.12g}")
     if args.n is not None:
@@ -203,7 +209,7 @@ def cmd_bound(args) -> int:
         if t is not None:
             print(
                 f"threshold partition denominator at delta={args.delta:g}: {t + 1} "
-                f"(beta = n^delta = {args.n**args.delta:.6g})"
+                f"(beta = n^delta = {beta:.6g})"
             )
     return 0
 

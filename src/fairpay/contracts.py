@@ -2,13 +2,13 @@
 
 A linear contract is a payment vector alpha in [0,1]^n; agent i receives
 alpha_i when the project succeeds, whether or not they exerted effort.
-Three payment regimes are supported for an incentive set S:
+The three payment regimes of an incentive set S are one rule: each
+member gets max(own indifference payment, top / pay_ratio), top being
+the largest indifference payment in S, with ModeSpec.pay_ratio:
 
-  unconstrained  each member is paid their indifference payment
-  nd             every member is paid the same amount (the largest
-                 indifference payment in S)
-  beta_nd        members' payments may differ by at most a factor beta;
-                 each member gets max(own indifference payment, top/beta)
+  unconstrained  inf: each member is paid their indifference payment
+  nd             1: every member is paid top
+  beta_nd        beta: payments differ by at most a factor beta
 
 The principal's utility is (1 - total payment) * f(S).
 """
@@ -119,6 +119,14 @@ class ModeSpec:
         elif self.beta is not None:
             raise ParameterError(f"mode {self.mode!r} takes no beta")
 
+    @property
+    def pay_ratio(self) -> float:
+        """Each member is paid at least top / pay_ratio: inf unconstrained,
+        1 for nd, beta for beta_nd."""
+        if self.beta is not None:
+            return self.beta
+        return 1.0 if self.mode == "nd" else math.inf
+
     @classmethod
     def unconstrained(cls) -> "ModeSpec":
         return cls("unconstrained")
@@ -165,6 +173,7 @@ def indifference_payment(inst: Instance, i: int, subset) -> float | None:
     return float(inst.costs[i]) / marg
 
 
+@np.errstate(over="ignore")  # an inf payment is above 1: infeasible
 def _indifference_payments(inst: Instance, mask: int):
     """Members of a nonempty set as a boolean vector, and their
     indifference payments costs[S] / marginals(S)[S] in index order, bit
@@ -198,9 +207,10 @@ def _infeasible(n: int, mask: int, reason: str) -> IncentiveOutcome:
 def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> IncentiveOutcome:
     """Cheapest contract (per the mode) that incentivizes exactly this set.
 
-    Payments follow the mode: indifference payments, the uniform group
-    payment, or max(indifference, top/beta).  Utility is
-    (1 - total payment) * f(S); it may be negative for feasible sets.
+    Each member is paid max(indifference, top / spec.pay_ratio), so the
+    unconstrained pay is the indifference payments (top / inf is 0.0) and
+    nd's is top.  Utility is (1 - total payment) * f(S); it may be
+    negative for feasible sets.
 
     Members are priced together, costs[S] / marginals(S)[S], so the cost
     is one marginals call plus O(n) array work: O(n) for rewards with
@@ -215,17 +225,11 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
     if alphas is None:
         return _infeasible(n, mask, "zero-marginal")
 
-    # every mode pays the top member exactly top (top / beta <= top)
+    # every mode pays the top member exactly top (top / pay_ratio <= top)
     top = float(alphas.max())
     if top > 1 + COMPARE_TOL:
         return _infeasible(n, mask, "payment-above-one")
-    if spec.mode == "unconstrained":
-        pay = alphas
-    elif spec.mode == "nd":
-        pay = np.full(alphas.size, top)
-    else:
-        pay = np.maximum(alphas, top / spec.beta)
-
+    pay = np.maximum(alphas, top / spec.pay_ratio, out=alphas)  # no caller shares alphas
     payments = np.zeros(n)
     payments[members] = np.minimum(pay, 1.0)
     utility = (1.0 - pay.sum()) * inst.reward.value(mask)

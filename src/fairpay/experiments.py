@@ -81,12 +81,8 @@ def _default_base(inst: Instance) -> int:
     return (1 << inst.n) - 1
 
 
-def solve_with(inst: Instance, spec: ModeSpec, method: str, workers: int = 1) -> SolveReport:
-    """Run the named solver on an instance under the given payment regime.
-
-    workers is accepted for compatibility and ignored: every solver runs
-    single threaded.
-    """
+def solve_with(inst: Instance, spec: ModeSpec, method: str) -> SolveReport:
+    """Run the named solver on an instance under the given payment regime."""
     if method in ("brute", "brute_force"):
         return brute_force(inst, spec)
     if method == "symmetric":
@@ -140,7 +136,7 @@ def pond_ratio(
     return RatioRecord(
         instance_id=inst.label,
         n=inst.n,
-        beta=spec.beta if spec.mode == "beta_nd" else 1.0,
+        beta=spec.pay_ratio,
         delta=delta,
         opt=opt,
         opt_nd=opt_nd,
@@ -260,12 +256,10 @@ def _sweep_point(sweep: SweepSpec, value, inst: Instance) -> RatioRecord:
     return pond_ratio(inst, spec, sweep.methods, delta=delta_used)
 
 
-def run_sweep(sweep: SweepSpec, out_path=None, workers: int = 1) -> list[RatioRecord]:
+def run_sweep(sweep: SweepSpec, out_path=None) -> list[RatioRecord]:
     """Evaluate every grid point; failures become error records, not aborts.
 
-    Points run one after another in grid order.  workers is accepted for
-    compatibility and ignored: the points are GIL-bound Python, and
-    solving them on threads did not pay.  A point whose family
+    Points run one after another in grid order.  A point whose family
     parameters equal the previous point's reuses its instance, so a beta
     or delta grid builds one instance, and its solves share its value
     table, or its rows (rewards.table_rows).  An error record carries

@@ -17,6 +17,13 @@ from .errors import ParameterError
 from .rewards import Additive, CappedAdditive, Coverage, SymmetricTwoClass
 
 DEFAULT_EPSILON = 1e-6
+# the most agents whose float64 vectors numpy can describe (intp.max bytes)
+MAX_AGENTS = np.iinfo(np.intp).max // 8
+
+
+def _check_agents(n: int) -> None:
+    if n > MAX_AGENTS:
+        raise ParameterError(f"n = {n} agents exceeds the largest array ({MAX_AGENTS} floats)")
 
 
 def gen_geometric_family(m: int, T: float) -> Instance:
@@ -31,6 +38,8 @@ def gen_geometric_family(m: int, T: float) -> Instance:
         raise ParameterError(f"m must be at least 1, got {m}")
     if T < 2:
         raise ParameterError(f"T must be at least 2, got {T}")
+    if m > MAX_AGENTS.bit_length():  # 2^m - 1 > MAX_AGENTS
+        raise ParameterError(f"m must be at most {MAX_AGENTS.bit_length()}, got {m}")
     sizes = [1 << k for k in range(m)]
     weights = [1.0 / (m * size) for size in sizes]
     costs = [1.0 / (T * m * m * size * size) for size in sizes]
@@ -60,6 +69,7 @@ def gen_two_class(
         raise ParameterError("epsilon must be strictly positive (costs are > 0)")
     if n < 2:
         raise ParameterError("need at least two agents")
+    _check_agents(n)
     if family == "lemma8":
         if M is None or delta is None:
             raise ParameterError("family lemma8 needs M and delta")
@@ -135,6 +145,7 @@ def gen_random(kind: str, n: int, seed: int, cost_margin: float = 0.5) -> Instan
     """
     if n < 1:
         raise ParameterError("n must be at least 1")
+    _check_agents(n)
     if not 0 < cost_margin < 1:
         raise ParameterError(f"cost_margin must lie in (0, 1), got {cost_margin}")
     rng = np.random.default_rng(seed)

@@ -6,9 +6,9 @@ are normalized (empty set maps to 0) and, except for explicit tables, are
 monotone submodular by construction.  Subsets are bitmasks over agent
 indices 0..n-1 everywhere; bit i set means agent i is in the set.
 
-Each kind values sets in bulk through one row oracle, _oracle(k), which
-value_table fills the dense table from unless the kind has a closed
-form; TableRows keeps the rows that solves ask for.
+Each kind values sets in bulk through its own row oracle, _oracle(k),
+which value_table fills the dense table from unless the kind has a
+closed form; TableRows keeps the rows that solves ask for.
 """
 
 from __future__ import annotations
@@ -144,18 +144,13 @@ class RewardFunction(ABC):
             grid[r : r + step] = rows(np.arange(r, min(r + step, len(grid))))
         return table
 
+    @abstractmethod
     def _oracle(self, k: int):
         """(values, rows): values maps an int64 array of masks to f of
         each, and rows maps an int64 array of r row indices to the r x 2^k
         array of f of the masks h << k | l, l < 2^k, for each row h, both
         bit for bit value_table()'s entries.  They hold the lookup tables
         that takes, so that a caller valuing many batches builds them once."""
-
-        def values(masks):
-            flat = np.fromiter(map(self._value_of_mask, masks.ravel().tolist()), float, masks.size)
-            return np.clip(flat, 0.0, 1.0).reshape(masks.shape)
-
-        return values, lambda hs: values(hs[:, None] << k | np.arange(1 << k))
 
     @abstractmethod
     def descriptor(self) -> dict:

@@ -1,7 +1,7 @@
 """Optimizers over incentive sets.
 
 brute_force finds the exact optimum over all 2^n subsets (_table_best),
-and the two-agent solvers are the same kernel at n = 2: at small n every
+and the two-agent solvers are brute_force at n = 2: at small n every
 set is priced, and above it a bound from each agent's singleton rate
 leaves out almost every set.  From SPLIT_N agents on, the value table is
 split into rows by the upper half of the agents; a bound on each row,
@@ -27,6 +27,7 @@ enumeration order.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -39,10 +40,10 @@ from .contracts import (
     COMPARE_TOL,
     MARGINAL_TOL,
     RATE_TOL,
-    Contract,
     IncentiveOutcome,
     Instance,
     ModeSpec,
+    _empty_outcome,
     _indifference_payments,
     indifference_payment,  # noqa: F401 - bench/tracing.py wraps this name
     optimal_contract_for_set,
@@ -100,8 +101,7 @@ class PartitionResult:
     def best(self) -> IncentiveOutcome:
         """Highest-utility feasible group outcome (empty set as floor)."""
         n = max(o.payments.payments.size for o in self.per_group) if self.per_group else 1
-        floor = IncentiveOutcome(0, Contract(np.zeros(n)), 0.0, True)
-        candidates = [o for o in self.per_group if o.feasible] + [floor]
+        candidates = [o for o in self.per_group if o.feasible] + [_empty_outcome(n)]
         return min(candidates, key=lambda o: _rank(o.utility, o.members))
 
 
@@ -111,20 +111,19 @@ def _rank(utility: float, mask: int) -> tuple:
     return (-utility, mask.bit_count(), mask)
 
 
-def _argbest(util, popc=None):
+EMPTY_RANK = (-0.0, 0, 0)  # _rank(0.0, 0), the empty set's key
+
+
+def _argbest(util, popc):
     """Index of the best candidate in a utility array, or None when no
     utility is finite (-inf marks an infeasible candidate).
 
-    Best is as _rank orders it; index order must be mask order among
-    candidates of equal size.  popc gives each candidate's member count,
-    or None when index order already sorts by member count, so that the
-    first maximum wins.
+    Best is as _rank orders it, popc giving each candidate's member
+    count; index order must be mask order among candidates of equal size.
     """
     k = int(util.argmax())  # the first maximum
     if not np.isfinite(util[k]):
         return None
-    if popc is None:
-        return k
     cand = np.flatnonzero(util == util[k])
     return int(cand[popc[cand].argmin()])
 
@@ -137,15 +136,18 @@ def _price(values, costs, masks, mode, beta):
     infeasible when a member's marginal is at most MARGINAL_TOL or its
     top payment exceeds 1 + COMPARE_TOL.  The unconstrained and beta_nd
     payments, max(alpha_i, top / beta), are summed in agent order (reduce
-    adds sequentially, np.sum pairwise); nd pays popc * top.  Arrays are
-    agents x masks, so that each agent's row is contiguous.
+    adds sequentially, np.sum pairwise); nd pays popc * top, which rounds
+    unlike a sum of k tops, so it keeps its own branch rather than
+    ModeSpec.pay_ratio's rule.  Arrays are agents x masks, so that each
+    agent's row is contiguous.
     """
     bits = (1 << np.arange(costs.size))[:, None]
     has = (masks & bits) != 0
     value = values(masks)
     marg = value - values(masks & ~bits)  # 0 off the set
     paid = marg > MARGINAL_TOL  # hence members only
-    alpha = np.divide(costs[:, None], marg, out=np.zeros(marg.shape), where=paid)
+    with np.errstate(over="ignore"):  # an inf payment is above 1: infeasible
+        alpha = np.divide(costs[:, None], marg, out=np.zeros(marg.shape), where=paid)
     popc = has.sum(axis=0)
     top = alpha.max(axis=0)
     infeasible = (paid.sum(axis=0) < popc) | (top > 1 + COMPARE_TOL)
@@ -212,11 +214,13 @@ def _row_slack(n):
 def _table_best(rows, costs, mode, beta):
     """Best masks for the requested mode and for the unconstrained mode
     over every subset, from the value table's rows (rewards.TableRows).
+    mode and beta stay apart, not a pay ratio, for _price's nd product.
 
     Up to PRICE_ALL_N agents every set is priced in one block, which
     costs less than the bound passes below: they cost a few passes and
     two pricings however small the table, while pricing costs n 2^n.
-    _price treats each mask alone, so both ways pick the same sets.
+    _price treats each mask alone, so both ways pick the same sets, and
+    every way reduces through _priced from the empty set's key.
 
     The rewards are submodular, so agent i's marginal in any set is at
     most its singleton marginal plus RATE_TOL, and its payment alpha_i(S)
@@ -284,11 +288,11 @@ def _table_best(rows, costs, mode, beta):
     """
     n, k = costs.size, rows.k
     if n <= PRICE_ALL_N:
-        ref, util, popc = _price(rows.values, costs, np.arange(1 << n), mode, beta)
-        return _argbest(util, popc), _argbest(ref, popc)
+        best, ref = _priced(rows, costs, np.arange(1 << n), mode, beta, EMPTY_RANK, EMPTY_RANK)
+        return best[2], ref[2]
     if rows.survivors is not None and np.array_equal(rows.survivors[0], costs):
         _, bar, masks = rows.survivors
-        best, ref = _priced(rows, costs, masks, mode, beta, (-0.0, 0, 0), (-0.0, 0, 0))
+        best, ref = _priced(rows, costs, masks, mode, beta, EMPTY_RANK, EMPTY_RANK)
         if min(-best[0], -ref[0]) >= bar:
             return best[2], ref[2]
     t_low = rows.rows(np.zeros(1, np.intp))[0]  # row 0: the low sets
@@ -307,7 +311,7 @@ def _table_best(rows, costs, mode, beta):
         bound = _row_bounds(1.0 - high_sum, t_high, low_sum, t_low)
         order = np.argsort(-bound, kind="stable")
         reach_row = bound[order] + _row_slack(n)
-    best = ref = (-0.0, 0, 0)  # the empty set's _rank
+    best = ref = EMPTY_RANK
 
     def utility(pay, t):
         np.subtract(1.0, pay, out=pay)
@@ -395,30 +399,21 @@ def brute_force(
     spec: ModeSpec,
     workers: int = 1,
 ) -> SolveReport:
-    """Exact optimum over all 2^n subsets of the value table.
+    """Exact optimum over all 2^n subsets, n <= BRUTE_FORCE_LIMIT, with
+    the unconstrained optimum reported as opt_reference; ties go to
+    _rank's order.  candidates_examined counts all 2^n sets.  workers is
+    accepted for compatibility and ignored: the scan is single threaded.
 
-    workers is accepted for compatibility and ignored: the scan is single
-    threaded.  The unconstrained optimum is computed alongside and
-    reported as opt_reference.  Up to PRICE_ALL_N agents every set is
-    priced; above, a singleton-rate bound on every set's utility leaves
-    out the sets that cannot win, and the s survivors are priced exactly
-    in O(s n) (see _table_best); s is 2^n only when every set ties.
-    Below SPLIT_N agents the bound takes O(2^n) contiguous passes over
-    the dense table.  From SPLIT_N on, k = ceil(n / 2) agents pick the
-    column and the rest the row: O(2^k + 2^(n - k) F) to bound every row
-    from F <= 2^k frontier points, and only the rows whose bound reaches
-    the bar are valued and bounded, O(2^k) each; no 2^n array is built.
-    The nd and beta_nd solves of gen_random's additive, capped and
-    coverage instances at n = 18..20 (seeds 0..29, cost margin 0.5)
-    valued 1.6% to 16% of the rows between them, a median of one batch
-    of ROW_BLOCK masks, and at most a quarter is expected.
-    candidates_examined counts all 2^n sets either way.  The rows come
-    from rewards.table_rows, so consecutive solves of one reward, under
-    any modes and betas, value each row once; a solve at the costs of the
-    one before it first prices only the sets that solve kept, O(s' n),
-    and is done when they reach its bar, which a regime at least as loose
-    does but for rounding: the beta_nd or unconstrained solve that follows
-    an nd solve of one instance takes no bound pass (see _table_best).
+    Costs (derived in _table_best): up to PRICE_ALL_N agents, n 2^n to
+    price every set; below SPLIT_N, O(2^n) contiguous passes for the
+    bound and O(s n) to price the s sets it keeps, 2^n only when every
+    set ties; from SPLIT_N on, O(2^k + 2^(n - k) F) to bound every row,
+    k = ceil(n / 2), and O(2^k) for each row whose bound reaches the bar,
+    with no 2^n array (the nd and beta_nd solves of gen_random instances
+    at n = 18..20 valued 1.6% to 16% of the rows between them).  Rows
+    come from rewards.table_rows, so consecutive solves of one reward
+    value each row once, and a solve at the costs of the one before it
+    first prices only the s' sets that solve kept, O(s' n).
     """
     n = inst.n
     if n > BRUTE_FORCE_LIMIT:
@@ -626,16 +621,15 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     costs[g] / weights[g], infinite for a vanishing weight.  A candidate
     takes classes L..j-1 whole plus the first p agents of class j.  As in
     optimal_contract_for_set, its top rate must be at most 1, and each
-    member is paid max(rate, top / beta), with beta = 1 for nd and
-    beta = inf for unconstrained.  Within a block (L, j) the utility is a
-    concave quadratic in p, and _best_count scores only the counts that
-    can be its first float maximum.  It is given the best utility found
+    member is paid max(rate, top / spec.pay_ratio).  Within a block (L, j)
+    the utility is a concave quadratic in p, and _best_count scores only
+    the counts that can be its first float maximum.  It is given the best utility found
     so far in its mode, and skips a block whose continuous maximum,
     with rounding slack, is below it: every count there loses to the
     best so far, so the winners are a full scan's.  Block winners are
     ranked by (utility, member count, first member), and only the final
     winner and reference get a bitmask.  The pay of classes L..j-1 is
-    summed afresh only when the floor top / beta rises.  With k classes
+    summed afresh only when the floor top / ratio rises.  With k classes
     this is O(k^2) cap and bar checks (O(k^3) if the top rate rises at
     most classes, which neither family does), plus the blocks actually
     scored, and O(n) to price the winner and the reference.  On the
@@ -645,7 +639,7 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     """
     starts = [0, *itertools.accumulate(sizes)]
     rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
-    beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
+    ratio = spec.pay_ratio
 
     def block_winner(L, j, base, rate, key):
         """The smaller of key and the key of block (L, j)'s best
@@ -660,7 +654,7 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
         p, util = found
         return min(key, (-util, starts[j] - starts[L] + p, starts[L]))
 
-    best = ref = (-0.0, 0, 0)  # the empty set
+    best = ref = EMPTY_RANK
     for L in range(len(sizes)):
         # value, pay_unc and pay: classes L..j-1 whole
         top = floor = value = pay_unc = pay = 0.0
@@ -668,8 +662,8 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
             top = max(top, rates[j])
             if top > 1 + COMPARE_TOL:
                 break  # every later block holds class j too
-            if top / beta != floor:
-                floor = top / beta
+            if top / ratio != floor:
+                floor = top / ratio
                 pay = 0.0  # summed afresh, in the same order
                 for g in range(L, j):
                     pay += sizes[g] * max(rates[g], floor)
@@ -757,20 +751,14 @@ def two_agent_bound(beta: float) -> float:
 
 
 def two_agent_exact(inst: Instance, spec: ModeSpec) -> SolveReport:
-    """Exact two-agent optimum under any payment regime: brute force's
-    kernel over the four sets, so both pick the same sets, reported under
-    the method "two_agent"."""
+    """Exact two-agent optimum under any payment regime: brute_force over
+    the four sets, reported under the method "two_agent"."""
     if inst.n != 2:
         raise SizeLimitError(f"the two-agent solver requires exactly 2 agents, got {inst.n}")
-    best, ref = _table_best(table_rows(inst.reward, 2), inst.costs, spec.mode, spec.beta)
-    return _report(inst, spec, "two_agent", 4, best, ref)
+    return dataclasses.replace(brute_force(inst, spec), method="two_agent")
 
 
 def two_agent_solve(inst: Instance, beta: float) -> SolveReport:
-    """Exact two-agent optimum under the beta wage-ratio constraint.
-
-    Evaluates the four candidate sets and returns the constrained best;
-    the unconstrained optimum over the same candidates is recorded as
-    opt_reference.
-    """
+    """Exact two-agent optimum under the beta wage-ratio constraint, with
+    the unconstrained optimum as opt_reference (see two_agent_exact)."""
     return two_agent_exact(inst, ModeSpec.beta_nd(float(beta)))

@@ -48,6 +48,19 @@ def test_gen_bad_params_exit_2(tmp_path, capsys):
     assert "n > M" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["geometric", "--m", 62, "--T", 3],
+    ["geometric", "--m", 70, "--T", 3],
+    ["random-additive", "--n", 10**30, "--seed", 1],
+    ["lemma9", "--n", 10**30],
+])
+def test_gen_more_agents_than_an_array_holds_exit_2(tmp_path, capsys, argv):
+    assert run(["gen", *argv, "--out", tmp_path / "x.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def _gen_geo(tmp_path, m=2, T=2):
     path = tmp_path / "geo.json"
     assert run(["gen", "geometric", "--m", m, "--T", T, "--out", path]) == 0
@@ -591,6 +604,7 @@ def test_bound_command(capsys):
         ["--n", 0],
         ["--n", -5],
         ["--n", 10, "--delta", "5e-324"],
+        ["--n", 10**400, "--delta", "0.5"],
         ["--delta", "0.5"],
         ["--beta", 3, "--delta", "0.5"],
         ["--beta", "nan"],

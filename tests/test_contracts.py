@@ -91,6 +91,23 @@ def test_optimal_contract_modes(pair):
     assert np.allclose(bnd.payments.payments, [0.2, 0.4])
 
 
+def test_pay_ratio_is_one_rule_for_every_mode(pair):
+    """Each member is paid max(alpha_i, top / pay_ratio): nd is beta_nd at
+    beta = 1 bit for bit, and unconstrained pays the indifference payments."""
+    assert ModeSpec.unconstrained().pay_ratio == math.inf
+    assert ModeSpec.nd().pay_ratio == 1.0
+    assert ModeSpec.beta_nd(2.5).pay_ratio == 2.5
+    for inst in (pair, gen_geometric_family(3, 3)):
+        for mask in range(1, 1 << inst.n):
+            nd = optimal_contract_for_set(inst, mask, ModeSpec.nd())
+            one = optimal_contract_for_set(inst, mask, ModeSpec.beta_nd(1.0))
+            assert (nd.utility, nd.payments.payments.tolist()) == (
+                one.utility, one.payments.payments.tolist())
+            unc = optimal_contract_for_set(inst, mask, ModeSpec.unconstrained())
+            alphas = [indifference_payment(inst, i, mask) for i in mask_to_indices(mask)]
+            assert unc.payments.payments[unc.payments.payments > 0].tolist() == alphas
+
+
 def test_optimal_contract_empty_set(pair):
     out = optimal_contract_for_set(pair, 0, ModeSpec.nd())
     assert out.feasible and out.utility == 0.0

@@ -205,20 +205,6 @@ def test_sweep_lemma9_n_grid():
         assert 1.0 / rec.ratio == pytest.approx(target, abs=1e-2)
 
 
-def test_sweep_worker_independence(tmp_path):
-    sweep = SweepSpec(
-        family="geometric",
-        params={"T": 3},
-        grid_param="m",
-        grid_values=[2, 3, 4],
-        mode="nd",
-    )
-    serial = run_sweep(sweep, out_path=tmp_path / "a.csv", workers=1)
-    threaded = run_sweep(sweep, out_path=tmp_path / "b.csv", workers=3)
-    assert serial == threaded
-    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
-
-
 def test_beta_sweep_builds_its_instance_and_table_once():
     grid = [1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0]
     sweep = SweepSpec("random-coverage", {"n": 10}, "beta", grid, mode="beta_nd", seed=3)

@@ -847,6 +847,24 @@ def test_log_partition_rejects_bad_base():
         delta_partition(idle, 0b11, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [3, 10])
+def test_a_payment_that_overflows_is_infeasible_without_a_warning(n):
+    """Agent 0's cost 1e308 over a marginal below 1 overflows to an inf
+    payment: every set holding it is infeasible, and numpy stays quiet."""
+    weights = np.full(n, 0.8 / n) if n > 3 else np.array([0.2, 0.3, 0.3])
+    costs = np.full(n, 0.3 / n)  # 0.1 at n = 3
+    costs[0] = 1e308
+    inst = Instance(n, costs, Additive(weights))
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(2.0)):
+        rep = brute_force(inst, spec)
+        assert rep.best.members and not rep.best.members & 1
+        out = optimal_contract_for_set(inst, 0b11, spec)
+        assert not out.feasible and out.infeasibility_reason == "payment-above-one"
+    with pytest.raises(ParameterError, match=r"\(payment-above-one\)$"):
+        log_partition(inst, 0b11)
+
+
 # ---------------------------------------------------------------------------
 # delta partition
 

@@ -42,7 +42,6 @@ from fairpay import solvers
 from fairpay.solvers import (
     ULP8,
     SolveReport,
-    _argbest,
     _best_count,
     _class_solve,
     _rank,
@@ -155,7 +154,7 @@ def _array_class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport
     beta = {"unconstrained": math.inf, "nd": 1.0}.get(spec.mode, spec.beta)
 
     def block_winner(util, L, j):
-        k = _argbest(util)
+        k = int(util.argmax())  # block utilities are finite; index order is count order
         return _rank(float(util[k]), (1 << (starts[j] + k + 1)) - (1 << starts[L]))
 
     best = ref = _rank(0.0, 0)
