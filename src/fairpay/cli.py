@@ -225,8 +225,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FairpayError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FairpayError, OSError, UnicodeDecodeError, json.JSONDecodeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -262,9 +262,10 @@ def run_sweep(sweep: SweepSpec, out_path=None) -> list[RatioRecord]:
     Points run one after another in grid order.  A point whose family
     parameters equal the previous point's reuses its instance, so a beta
     or delta grid builds one instance, and its solves share its value
-    table, or its rows (rewards.table_rows).  An error record carries
-    the built instance's n, or 0 when the instance itself failed to
-    build.  When out_path is given the records are also written as CSV.
+    table, or the sets kept on its rows (rewards.table_rows).  An error
+    record carries the built instance's n, or 0 when the instance itself
+    failed to build.  When out_path is given the records are also written
+    as CSV.
     """
     records = []
     built = None  # (params, instance) of the last successful build

@@ -79,10 +79,13 @@ def gen_two_class(
             raise ParameterError(
                 f"violated: M > 3 + 1/epsilon (M={M}, 3 + 1/epsilon={3 + 1 / epsilon})"
             )
-        if n <= M ** (1.0 / (1.0 - delta)):
+        try:
+            bound = M ** (1.0 / (1.0 - delta))
+        except OverflowError:  # above any n
+            bound = math.inf
+        if n <= bound:
             raise ParameterError(
-                f"violated: n > M^(1/(1-delta)) (n={n}, "
-                f"M^(1/(1-delta))={M ** (1.0 / (1.0 - delta)):.6g})"
+                f"violated: n > M^(1/(1-delta)) (n={n}, M^(1/(1-delta))={bound:.6g})"
             )
         f_a, c_a = 0.5, 1.0 / (2.0 * M)
         f_b = 0.5 / (n - 1)
@@ -148,6 +151,8 @@ def gen_random(kind: str, n: int, seed: int, cost_margin: float = 0.5) -> Instan
     _check_agents(n)
     if not 0 < cost_margin < 1:
         raise ParameterError(f"cost_margin must lie in (0, 1), got {cost_margin}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
 
     if kind == "additive":

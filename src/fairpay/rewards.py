@@ -8,7 +8,7 @@ indices 0..n-1 everywhere; bit i set means agent i is in the set.
 
 Each kind values sets in bulk through its own row oracle, _oracle(k),
 which value_table fills the dense table from unless the kind has a
-closed form; TableRows keeps the rows that solves ask for.
+closed form; TableRows hands the oracle, or the dense table, to solves.
 """
 
 from __future__ import annotations
@@ -509,11 +509,11 @@ class TableRows:
     """A reward's value table as 2^(n - k) rows of 2^k masks: the agents
     below k pick a mask's column and the others its row, so row h holds f
     of the masks h << k | l, l < 2^k, bit for bit the entries of
-    value_table().reshape(-1, 1 << k)[h].  Each row is valued the first
-    time it is asked for, by f._oracle(k), and kept: values reads single
-    masks from the kept rows, where the sets an earlier solve kept lie,
-    and values the others through the oracle.  With k = n the one row is
-    the whole table, built by value_table(), read-only, and kept as table.
+    value_table().reshape(-1, 1 << k)[h].  values and rows are
+    f._oracle(k)'s, which value every request afresh.  With k = n the one
+    row is the whole table, built by value_table(), read-only, and kept
+    as table: values reads it, and rows returns it as row [0], the only
+    row, whatever it is asked for.
 
     survivors is None or, set by the last bounded brute-force solve over
     these rows, (costs, bar, masks): the costs it was solved with, the
@@ -525,48 +525,13 @@ class TableRows:
     def __init__(self, f: RewardFunction, k: int):
         self.f, self.k = f, k
         self.survivors = None
-        if k == f.n:
-            self.table = f.value_table()
-            self.table.setflags(write=False)
-            self._data = self.table[None]
-            self._where = np.zeros(1, np.intp)
-            self.valued = 1
+        if k < f.n:
+            self.values, self.rows = f._oracle(k)
             return
-        self._values, self._rows = f._oracle(k)
-        self._where = np.full(1 << (f.n - k), -1, np.intp)  # position in _data
-        self._data = np.empty((0, 1 << k))
-        self.valued = 0  # rows valued so far, the first ones of _data
-
-    def rows(self, hs: np.ndarray) -> np.ndarray:
-        """The r x 2^k values of the rows hs, valuing those not yet kept;
-        with k = n, row [0] is a read-only view of the whole table."""
-        if self.k == self.f.n and hs.size == 1:
-            return self._data  # hs is [0], the only row
-        new = np.unique(hs[self._where[hs] < 0])
-        if new.size:
-            end = self.valued + new.size
-            if end > len(self._data):
-                size = max(end, min(2 * len(self._data), self._where.size))
-                grown = np.empty((size, 1 << self.k))
-                grown[: self.valued] = self._data[: self.valued]
-                self._data = grown
-            self._data[self.valued : end] = self._rows(new)
-            self._where[new] = np.arange(self.valued, end)
-            self.valued = end
-        return self._data[self._where[hs]]
-
-    def values(self, masks: np.ndarray) -> np.ndarray:
-        """f of each mask in an int64 array, read from the kept rows where
-        they hold it and valued alone elsewhere."""
-        if self.k == self.f.n:
-            return self.table[masks]
-        pos = self._where[masks >> self.k]
-        kept = pos >= 0
-        out = np.empty(masks.shape)
-        col = masks[kept] & ((1 << self.k) - 1)
-        out[kept] = self._data[pos[kept], col]
-        out[~kept] = self._values(masks[~kept])
-        return out
+        self.table = f.value_table()
+        self.table.setflags(write=False)
+        whole = self.table[None]  # closed over, not self, so no cycle keeps the table
+        self.values, self.rows = self.table.__getitem__, lambda hs: whole
 
 
 # the TableRows of the last table_rows call, or None
@@ -578,13 +543,13 @@ def table_rows(f: RewardFunction, k: int) -> TableRows:
 
     The values do not depend on costs or pay regime, so the solves of
     one reward under several modes or betas, and an explicit Instance's
-    structure check before them, read one table, or the rows of it that
-    any of them valued.  A single slot holds the rows last asked for,
-    matched by the reward's identity, referenced strongly so that its id
-    cannot be reused, and by k; it keeps them until other rows are asked
-    for.  The slot is emptied before new rows are made, so at most one
-    table is alive while one is built.  The library is single threaded;
-    rewards are immutable.
+    structure check before them, share one table (k = n), or one oracle
+    and the sets the last solve kept (k < n).  A single slot holds the
+    TableRows last asked for, matched by the reward's identity,
+    referenced strongly so that its id cannot be reused, and by k; it
+    keeps them until other rows are asked for.  The slot is emptied
+    before new rows are made, so at most one table is alive while one is
+    built.  The library is single threaded; rewards are immutable.
     """
     global _last_rows
     if _last_rows is not None and _last_rows.f is f and _last_rows.k == k:
@@ -706,6 +671,8 @@ def check_structure(
             )
         if seed is None:
             raise ParameterError("sampling mode requires an explicit seed")
+        if seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {seed}")
         checks = 0
         rng = np.random.default_rng(seed)
         for _ in range(samples):

@@ -143,8 +143,8 @@ def _price(values, costs, masks, mode, beta):
     """
     bits = (1 << np.arange(costs.size))[:, None]
     has = (masks & bits) != 0
-    value = values(masks)
-    marg = value - values(masks & ~bits)  # 0 off the set
+    both = values(np.concatenate([masks[None], masks & ~bits]))  # f(S), then each f(S - i)
+    value, marg = both[0], both[0] - both[1:]  # 0 off the set
     paid = marg > MARGINAL_TOL  # hence members only
     with np.errstate(over="ignore"):  # an inf payment is above 1: infeasible
         alpha = np.divide(costs[:, None], marg, out=np.zeros(marg.shape), where=paid)
@@ -411,9 +411,9 @@ def brute_force(
     k = ceil(n / 2), and O(2^k) for each row whose bound reaches the bar,
     with no 2^n array (the nd and beta_nd solves of gen_random instances
     at n = 18..20 valued 1.6% to 16% of the rows between them).  Rows
-    come from rewards.table_rows, so consecutive solves of one reward
-    value each row once, and a solve at the costs of the one before it
-    first prices only the s' sets that solve kept, O(s' n).
+    come from rewards.table_rows, which also holds the sets the last
+    solve of the reward kept: a solve at its costs first prices only
+    those s', O(s' n), and values no row when they decide it.
     """
     n = inst.n
     if n > BRUTE_FORCE_LIMIT:

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -58,6 +59,50 @@ def test_gen_more_agents_than_an_array_holds_exit_2(tmp_path, capsys, argv):
     assert run(["gen", *argv, "--out", tmp_path / "x.json"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+def _one_error_line(capsys, words):
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert words in out.err, out.err
+
+
+def test_gen_negative_seed_exit_2(tmp_path, capsys):
+    """numpy's default_rng refuses a negative seed with a ValueError,
+    which gen_random turns into a ParameterError naming the seed."""
+    assert run(["gen", "random-additive", "--n", 4, "--seed", -1, "--out", tmp_path / "x.json"]) == 2
+    _one_error_line(capsys, "seed must be nonnegative, got -1")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_check_structure_sampled_negative_seed_exit_2(tmp_path, capsys):
+    inst = tmp_path / "c30.json"
+    assert run(["gen", "random-coverage", "--n", 30, "--seed", 1, "--out", inst]) == 0
+    capsys.readouterr()
+    assert run(["check", "structure", "--in", inst, "--sample", 10, "--seed", -1]) == 2
+    _one_error_line(capsys, "seed must be nonnegative, got -1")
+
+
+def test_gen_lemma8_bound_that_overflows_exit_2(tmp_path, capsys):
+    """M^(1/(1-delta)) overflows a float at M = 1e308: a bound above any
+    n, so the condition n > bound is violated."""
+    assert run(["gen", "lemma8", "--n", 10, "--M", "1e308", "--delta", 0.5, "--epsilon", 0.5,
+                "--out", tmp_path / "x.json"]) == 2
+    _one_error_line(capsys, "violated: n > M^(1/(1-delta)) (n=10, M^(1/(1-delta))=inf)")
+
+
+def test_gen_out_of_memory_exit_2(tmp_path, capsys):
+    """An allocation that fails exits 2 with one error line; gen sets no
+    cap of its own below MAX_AGENTS.  The failure is patched in, as a
+    size that really fails would depend on the host."""
+    failed = MemoryError("Unable to allocate 8.00 EiB for an array")
+    with mock.patch("fairpay.families.np.repeat", side_effect=failed):
+        assert run(["gen", "geometric", "--m", 3, "--T", 3, "--out", tmp_path / "x.json"]) == 2
+    _one_error_line(capsys, "Unable to allocate 8.00 EiB")
+    with mock.patch("fairpay.families.np.repeat", side_effect=MemoryError):
+        assert run(["gen", "geometric", "--m", 3, "--T", 3, "--out", tmp_path / "x.json"]) == 2
+    _one_error_line(capsys, "error: MemoryError")
     assert not (tmp_path / "x.json").exists()
 
 

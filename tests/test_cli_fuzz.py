@@ -1,10 +1,12 @@
-"""CLI fuzz tests: mutated instance, result and sweep files either run or
-exit 2 with one error line; no exception escapes main.
+"""CLI fuzz tests: mutated instance, result and sweep files, and gen
+commands with one flag replaced, either run or exit 2 with one error
+line; no exception escapes main.
 
-Every mutation is one edit of a small valid file.  Sizes stay capped: a
-huge int only replaces fields read before anything is allocated from
-them, and a sweep's counts are replaced by small ones only, since a
-sweep builds the instance its m or n asks for.
+Every mutation is one edit of a small valid file or command.  Sizes stay
+capped: a huge int only replaces fields read before anything is
+allocated from them, and a sweep's counts, like gen's --m and --n, are
+replaced by small ones only, since gen and a sweep build the instance
+their m or n asks for.
 """
 
 import contextlib
@@ -29,6 +31,26 @@ SWEEP_VALUES = [
     "abc", "nan", "inf", "-inf", "1e400", "-1", "0", "2", "1.5", "0.5", "true",
     "2, abc", "3,", ",", "geometric", "tight2", "random-additive", "n", "m", "beta",
     "brute", "symmetric", "two-agent", "nd", "beta-nd",
+]
+
+# the values a gen flag is replaced by, by the flag's type; --m and --n
+# stay at most 6 and 64, but for ints far above MAX_AGENTS, refused
+# before anything is allocated
+GEN_FLOATS = [-1.0, 0.0, 0.5, 1.0, 2.0, 30.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]
+GEN_INTS = {
+    "--m": [-1, 0, 1, 6, 10**30],
+    "--n": [-1, 0, 1, 2, 3, 64, 10**30],
+    "--seed": [-1, 0, 2**70, -(2**70)],
+}
+GEN_FLAGS = [*GEN_INTS, "--T", "--M", "--beta", "--delta", "--epsilon", "--cost-margin"]
+GEN_COMMANDS = [
+    ["geometric", "--m", "2", "--T", "2"],
+    ["lemma8", "--n", "1000", "--M", "30", "--delta", "0.5", "--epsilon", "0.1"],
+    ["lemma9", "--n", "1000", "--epsilon", "1e-6"],
+    ["tight2", "--beta", "2", "--epsilon", "1e-6"],
+    ["random-additive", "--n", "4", "--seed", "1"],
+    ["random-coverage", "--n", "4", "--seed", "2", "--cost-margin", "0.5"],
+    ["random-capped", "--n", "4", "--seed", "3"],
 ]
 
 INSTANCES = {
@@ -201,3 +223,28 @@ def test_huge_explicit_n_exit_2(files, n):
                  ["check", "structure", "--in", bad]):
         code, err = _run(argv)
         assert code == 2 and err.count("\n") == 1 and "needs exactly 2^" in err
+
+
+def test_gen_with_one_flag_replaced_writes_or_exits_2(tmp_path):
+    """gen either writes its instance or exits 2 with one error line, when
+    one flag of a valid command, given or not, takes another value; every
+    such edit is run."""
+    out = tmp_path / "gen.json"
+    failed = []
+    for base in GEN_COMMANDS:
+        for flag in GEN_FLAGS:
+            for value in GEN_INTS.get(flag, GEN_FLOATS):
+                argv = list(base)
+                if flag in argv:
+                    del argv[argv.index(flag) : argv.index(flag) + 2]
+                argv.append(f"{flag}={value!r}")  # "=": argparse reads -1e+308 as a flag
+                out.unlink(missing_ok=True)
+                try:
+                    code, err = _run(["gen", *argv, "--out", out])
+                except Exception as exc:  # noqa: BLE001 - collected, to list every failing edit
+                    failed.append((argv, repr(exc)))
+                    continue
+                one_line = err.startswith("error: ") and err.count("\n") == 1
+                if code not in (0, 2) or out.exists() != (code == 0) or code == 2 and not one_line:
+                    failed.append((argv, code, err))
+    assert failed == []

@@ -542,45 +542,64 @@ def _count_calls(target, name):
     return mock.patch.object(target, name, autospec=True, side_effect=original)
 
 
+def _requested_rows(reward):
+    """A patch of reward's _oracle, and start(), which opens the list
+    that the row requests of the oracle's rows closure go to from then."""
+    oracle = type(reward)._oracle
+    requested = []
+
+    def counted(self, k):
+        values, rows = oracle(self, k)
+        return values, lambda hs: requested[-1].extend(hs.tolist()) or rows(hs)
+
+    def start():
+        requested.append([])
+        return requested[-1]
+
+    return mock.patch.object(type(reward), "_oracle", counted), start
+
+
 def test_brute_force_above_the_split_builds_no_table():
     """From SPLIT_N agents on, brute_force values rows through the
-    reward's oracle: it never calls value_table or dense_table, and the
-    nd and beta_nd solves of one reward value each row once between them."""
+    reward's oracle: it never calls value_table or dense_table.  Of nd,
+    beta_nd and unconstrained solves of one reward, in that order, the
+    first asks for each row at most once, but row 0, the low sets, which
+    it reads first and may read again in its batch, and the later ones
+    price the sets it kept and ask for no row."""
+    specs = [ModeSpec.nd(), ModeSpec.beta_nd(2.5), ModeSpec.unconstrained()]
     for kind in ("coverage", "additive"):
         inst = gen_random(kind, SPLIT_N, seed=4)
         rewards.dense_table(Additive([0.5]))
-        oracle = type(inst.reward)._oracle
-        requested = []
-
-        def counted(self, k):
-            values, rows = oracle(self, k)
-            return values, lambda hs: requested.extend(hs.tolist()) or rows(hs)
-
+        patched, start = _requested_rows(inst.reward)
         with _count_calls(type(inst.reward), "value_table") as tables, \
-                _count_calls(rewards, "dense_table") as dense, \
-                mock.patch.object(type(inst.reward), "_oracle", counted):
-            reports = [brute_force(inst, spec) for spec in _MODES]
+                _count_calls(rewards, "dense_table") as dense, patched:
+            solves = [(start(), brute_force(inst, spec)) for spec in specs]
         assert tables.call_count == 0 and dense.call_count == 0
+        (first, _), *later = solves
         k = (SPLIT_N + 1) // 2
-        assert len(requested) == len(set(requested)) == rewards.table_rows(inst.reward, k).valued
-        assert 0 < len(requested) < 1 << (SPLIT_N - k)
+        assert first.count(0) <= 2 and 0 < len(set(first)) < 1 << (SPLIT_N - k)
+        assert len(first) - first.count(0) == len(set(first) - {0})
+        assert all(requested == [] for requested, _ in later)
         with mock.patch("fairpay.solvers.SPLIT_N", SPLIT_N + 1):
-            assert [_report_bytes(r) for r in reports] == [
-                _report_bytes(brute_force(inst, spec)) for spec in _MODES
+            assert [_report_bytes(r) for _, r in solves] == [
+                _report_bytes(brute_force(inst, spec)) for spec in specs
             ]
 
 
 @pytest.mark.parametrize("n", range(SPLIT_N, 21))
 def test_rows_valued_stay_within_a_quarter(n):
     """brute_force's docstring: the nd and beta_nd solves of a random
-    instance value at most a quarter of the rows between them."""
+    instance ask for at most a quarter of the rows between them."""
     for kind in ("additive", "coverage", "capped_additive"):
         for seed in range(3):
             inst = gen_random(kind, n, seed=seed)
-            brute_force(inst, ModeSpec.nd())
-            brute_force(inst, ModeSpec.beta_nd(2.0))
-            rows = rewards.table_rows(inst.reward, (n + 1) // 2)
-            assert 0 < rows.valued <= (1 << (n - rows.k)) / 4, (kind, seed)
+            patched, start = _requested_rows(inst.reward)
+            with patched:
+                requested = start()
+                brute_force(inst, ModeSpec.nd())
+                brute_force(inst, ModeSpec.beta_nd(2.0))
+            k = (n + 1) // 2
+            assert 0 < len(set(requested)) <= (1 << (n - k)) / 4, (kind, seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -623,8 +642,8 @@ def test_later_solves_reuse_the_sets_kept_by_the_first(inst, steps, split, scale
 @pytest.mark.parametrize("n", [12, SPLIT_N, 20])
 def test_a_solve_after_nd_prices_only_the_kept_sets(n):
     """After an nd solve, a beta_nd or unconstrained solve of the same
-    instance prices the sets the nd solve kept, and no others: it values
-    no row and so takes no bound pass."""
+    instance prices the sets the nd solve kept, and no others: it asks
+    for no row and so takes no bound pass."""
     for kind in ("coverage", "additive", "capped_additive"):
         for seed in range(3):
             inst = gen_random(kind, n, seed=seed)
@@ -632,7 +651,8 @@ def test_a_solve_after_nd_prices_only_the_kept_sets(n):
                 expected = _cold(brute_force, inst, spec)
                 brute_force(inst, ModeSpec.nd())
                 k = n if n < SPLIT_N else (n + 1) // 2
-                kept = rewards.table_rows(inst.reward, k).survivors[2]
+                rows = rewards.table_rows(inst.reward, k)
+                kept = rows.survivors[2]
                 assert 0 < kept.size <= 300
                 priced, price = [], solvers._price
 
@@ -641,9 +661,9 @@ def test_a_solve_after_nd_prices_only_the_kept_sets(n):
                     return price(values, costs, masks, mode, beta)
 
                 with mock.patch.object(solvers, "_price", counted), \
-                        _count_calls(rewards.TableRows, "rows") as rows:
+                        mock.patch.object(rows, "rows", side_effect=rows.rows) as asked:
                     assert _report_bytes(brute_force(inst, spec)) == expected
-                assert sum(priced) == kept.size and rows.call_count == 0
+                assert sum(priced) == kept.size and asked.call_count == 0
 
 
 def test_bound_scan_breaks_ties_like_full_pass():
