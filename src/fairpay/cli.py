@@ -17,7 +17,7 @@ import time
 from .contracts import COMPARE_TOL, ModeSpec, effort_gains, is_equilibrium
 from .errors import FairpayError, ParameterError
 from .experiments import FAMILIES, METHODS, build_instance, run_sweep, solve_with
-from .rewards import check_structure, json_object, mask_to_indices, reward_from_descriptor
+from .rewards import check_structure, json_object, mask_to_indices, read_int, reward_from_descriptor
 from .serialize import (
     load_instance,
     load_result,
@@ -30,6 +30,11 @@ from .solvers import delta_bands, two_agent_bound
 
 # the methods as solve --method spells them, with "-" for "_"
 METHOD_FLAGS = sorted(method.replace("_", "-") for method in METHODS)
+
+
+def _family_parameters() -> dict:
+    """Every family's parameters and their readers, in table order."""
+    return {key: read for _, readers, _ in FAMILIES.values() for key, read in readers.items()}
 
 
 @functools.cache
@@ -45,15 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("family", choices=FAMILIES)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--T", type=float)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--M", type=float)
-    gen.add_argument("--beta", type=float)
-    gen.add_argument("--delta", type=float)
-    gen.add_argument("--epsilon", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--cost-margin", type=float, dest="cost_margin")
+    for key, read in _family_parameters().items():
+        gen.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=int if read is read_int else float)
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--in", dest="infile", required=True)
@@ -98,11 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    for key in ("m", "T", "n", "M", "beta", "delta", "epsilon", "seed", "cost_margin"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    # every flag given, so that build_instance refuses one the family does not take
+    params = {key: getattr(args, key) for key in _family_parameters()
+              if getattr(args, key) is not None}
     inst = build_instance(args.family, params)
     save_instance(inst, args.out)
     shown = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))

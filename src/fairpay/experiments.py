@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .contracts import Instance, ModeSpec
 from .contracts import optimal_contract_for_set  # noqa: F401 - bench/tracing.py wraps this name
 from .errors import ParameterError
 from .families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
-from .rewards import ExplicitTable
+from .rewards import ExplicitTable, read_field, read_float, read_int
 from .solvers import (
     BRUTE_FORCE_LIMIT,
     SolveReport,
@@ -150,9 +151,56 @@ def pond_ratio(
 # ---------------------------------------------------------------------------
 # sweeps
 
+# each family: its generator, a reader for each parameter the generator
+# takes (rewards.read_int for a count, read_float otherwise), and the
+# parameters it needs; the generators hold the defaults of the others
+_RANDOM = {"n": read_int, "seed": read_int, "cost_margin": read_float}
+FAMILIES = {
+    "geometric": (gen_geometric_family, {"m": read_int, "T": read_float}, ("m", "T")),
+    "lemma8": (partial(gen_two_class, "lemma8"), {"n": read_int, "epsilon": read_float,
+               "M": read_float, "delta": read_float}, ("n", "M", "delta")),
+    "lemma9": (partial(gen_two_class, "lemma9"), {"n": read_int, "epsilon": read_float}, ("n",)),
+    "tight2": (gen_two_agent_tight, {"beta": read_float, "epsilon": read_float}, ("beta",)),
+    "random-additive": (partial(gen_random, "additive"), _RANDOM, ("n", "seed")),
+    "random-coverage": (partial(gen_random, "coverage"), _RANDOM, ("n", "seed")),
+    "random-capped": (partial(gen_random, "capped_additive"), _RANDOM, ("n", "seed")),
+}
+
+
+def _family(family: str, given, ratio_keys=()) -> tuple:
+    """The table entry of family; ParameterError names an unknown family, a
+    given name it does not take (bar those in ratio_keys), or a needed one not given."""
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    entry = FAMILIES[family]
+    for key in given:
+        if key not in entry[1] and key not in ratio_keys:
+            raise ParameterError(f"family {family!r} does not take parameter {key!r}")
+    for key in entry[2]:
+        if key not in given:
+            raise ParameterError(f"family {family!r} needs parameter {key!r}")
+    return entry
+
+
+def build_instance(family: str, params: dict, seed: int | None = None) -> Instance:
+    """Construct a family instance from a flat parameter mapping, seed
+    standing in for a missing "seed", each read by the family's reader."""
+    if seed is not None and "seed" not in params:
+        params = {**params, "seed": seed}
+    generator, readers, _ = _family(family, params)
+    read = {key: read_field(params, key, readers[key], f"family {family!r}") for key in params}
+    return generator(**read)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """A family, a one-dimensional parameter grid, and the methods to run."""
+    """A family, a one-dimensional parameter grid, and the methods to run.
+
+    A grid sets the family parameter of its name, if the family takes
+    it (m, n, tight2's beta), and else the pay ratio: beta, or n^delta.
+    Over an m or n grid in beta_nd mode, a beta or delta parameter sets
+    the pay ratio; anywhere else, one the family does not take is an
+    error, as is every parameter that nothing reads."""
 
     family: str
     params: dict
@@ -163,97 +211,50 @@ class SweepSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.grid_param not in ("beta", "delta", "m", "n"):
-            raise ParameterError(f"grid must be one of beta/delta/m/n, got {self.grid_param!r}")
+        grid, params = self.grid_param, self.params
+        if grid not in ("beta", "delta", "m", "n"):
+            raise ParameterError(f"grid must be one of beta/delta/m/n, got {grid!r}")
         if not self.grid_values:
             raise ParameterError("sweep grid is empty")
         if self.mode not in ("nd", "beta_nd"):
             raise ParameterError(f"sweep mode must be nd or beta_nd, got {self.mode!r}")
-        if (
-            self.family.startswith("random-")
-            and self.seed is None
-            and "seed" not in self.params
-        ):
-            raise ParameterError("sweeps over random families require an explicit seed")
-
-
-FAMILIES = (
-    "geometric",
-    "lemma8",
-    "lemma9",
-    "tight2",
-    "random-additive",
-    "random-coverage",
-    "random-capped",
-)
-
-
-def build_instance(family: str, params: dict, seed: int | None = None) -> Instance:
-    """Construct a family instance from a flat parameter mapping."""
-    try:
-        if family == "geometric":
-            return gen_geometric_family(int(params["m"]), float(params["T"]))
-        if family in ("lemma8", "lemma9"):
-            return gen_two_class(
-                family,
-                int(params["n"]),
-                epsilon=float(params.get("epsilon", 1e-6)),
-                M=float(params["M"]) if "M" in params else None,
-                delta=float(params["delta"]) if "delta" in params else None,
-            )
-        if family == "tight2":
-            return gen_two_agent_tight(
-                float(params["beta"]), float(params.get("epsilon", 1e-6))
-            )
-        if family in ("random-additive", "random-coverage", "random-capped"):
-            kind = {
-                "random-additive": "additive",
-                "random-coverage": "coverage",
-                "random-capped": "capped_additive",
-            }[family]
-            if seed is None and "seed" not in params:
-                raise ParameterError("random families require an explicit seed")
-            return gen_random(
-                kind,
-                int(params["n"]),
-                int(params.get("seed", seed)),
-                float(params.get("cost_margin", 0.5)),
-            )
-    except KeyError as missing:
-        raise ParameterError(f"family {family!r} needs parameter {missing}") from None
-    raise ParameterError(f"unknown family {family!r}")
+        for key, method in zip(("method_opt", "method_nd"), self.methods):
+            if method not in (*METHODS, "brute_force"):
+                raise ParameterError(f"{key} {method!r} is not one of {METHODS}")
+        # a grid gives the parameter of its name, bar delta, and seed gives "seed"
+        given = [*params, *[grid] * (grid != "delta"), *["seed"] * (self.seed is not None)]
+        readers = _family(self.family, given, ("beta", "delta"))[1]
+        if grid in params and grid != "delta":
+            raise ParameterError(f"parameter {grid!r} is also the grid")
+        ratio_keys = [key for key in ("beta", "delta") if key in params and key not in readers]
+        if ratio_keys and (grid not in ("m", "n") or self.mode == "nd"):
+            raise ParameterError(f"parameter {ratio_keys[0]!r} sets the pay ratio only "
+                                 "in a beta_nd sweep over an m or n grid")
+        if len(ratio_keys) == 2:
+            raise ParameterError("a beta_nd sweep takes a beta or a delta parameter, not both")
+        if self.mode == "beta_nd" and grid in ("m", "n") and not {"beta", "delta"} & set(params):
+            raise ParameterError("beta_nd sweeps need a beta or delta parameter")
 
 
 def _sweep_params(sweep: SweepSpec, value) -> dict:
-    """The family parameters of one grid point: a beta or delta grid
-    leaves them as they are, except tight2's beta."""
-    params = dict(sweep.params)
-    if sweep.grid_param in ("m", "n"):
-        params[sweep.grid_param] = int(value)
-    elif sweep.grid_param == "beta" and sweep.family == "tight2":
-        params["beta"] = float(value)
+    """The family parameters of one grid point: the sweep's that the
+    family takes, with the grid value in place of the one it sets."""
+    readers, grid = FAMILIES[sweep.family][1], sweep.grid_param
+    params = {key: v for key, v in sweep.params.items() if key in readers}
+    if grid in readers and grid != "delta":
+        params[grid] = value
     return params
 
 
 def _sweep_point(sweep: SweepSpec, value, inst: Instance) -> RatioRecord:
-    params = sweep.params
-    delta_used = None
-    if sweep.grid_param == "beta":
-        spec = ModeSpec.beta_nd(float(value))
-    elif sweep.grid_param == "delta":
-        delta_used = float(value)
-        spec = ModeSpec.beta_nd(inst.n**delta_used)
-    elif sweep.mode == "nd":
-        spec = ModeSpec.nd()
-    elif "beta" in params:
-        spec = ModeSpec.beta_nd(float(params["beta"]))
-    elif "delta" in params:
-        delta_used = float(params["delta"])
-        spec = ModeSpec.beta_nd(inst.n**delta_used)
-    else:
-        raise ParameterError("beta_nd sweeps need a beta or delta parameter")
-
-    return pond_ratio(inst, spec, sweep.methods, delta=delta_used)
+    if sweep.grid_param in ("m", "n") and sweep.mode == "nd":
+        return pond_ratio(inst, ModeSpec.nd(), sweep.methods)
+    # the pay ratio is the grid's, or else that of a beta or delta parameter
+    ratio = {sweep.grid_param: value} if sweep.grid_param in ("beta", "delta") else sweep.params
+    if "beta" in ratio:
+        return pond_ratio(inst, ModeSpec.beta_nd(float(ratio["beta"])), sweep.methods)
+    delta = float(ratio["delta"])
+    return pond_ratio(inst, ModeSpec.beta_nd(inst.n**delta), sweep.methods, delta=delta)
 
 
 def run_sweep(sweep: SweepSpec, out_path=None) -> list[RatioRecord]:

@@ -712,7 +712,7 @@ def read_field(data: dict, key: str, convert, where: str):
         raise ParameterError(f"{where} lacks the key {key!r}")
     try:
         return convert(data[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{where} has a malformed {key!r}: {exc}") from None
 
 

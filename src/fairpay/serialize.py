@@ -13,7 +13,7 @@ import math
 
 from .contracts import Contract, Instance
 from .errors import ParameterError
-from .experiments import SweepSpec
+from .experiments import FAMILIES, SweepSpec
 from .rewards import as_mask, json_object, read_field, read_floats, read_int, reward_from_descriptor
 from .solvers import SolveReport
 
@@ -127,16 +127,17 @@ def result_contract(data: dict, n: int) -> tuple[Contract, int]:
 # ---------------------------------------------------------------------------
 # sweep configuration: flat "key = value" lines, '#' comments
 
-# the family parameters that are counts, read as integers
-_COUNT_KEYS = ("m", "n")
+def _count(raw: str) -> int:
+    """A count in a config value: 5, read exactly, or 5.0; ValueError for 5.5."""
+    return int(raw) if raw.isdigit() else read_int(float(raw))
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a sweep configuration.
 
     Recognized keys: family, grid, values (comma-separated), mode,
-    method_opt, method_nd, seed, and any family parameters (T, m, n, M,
-    beta, delta, epsilon, cost_margin).
+    method_opt, method_nd, and parameters, read as experiments.FAMILIES
+    reads them; SweepSpec refuses those that nothing reads.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -154,30 +155,31 @@ def parse_sweep_config(text: str) -> SweepSpec:
         raise ParameterError("sweep config needs a family")
     if "grid" not in entries:
         raise ParameterError("sweep config needs a grid parameter")
-    def number(key, convert):
+    family = entries.pop("family")
+    grid = entries.pop("grid")
+    readers = FAMILIES[family][1] if family in FAMILIES else {}
+
+    def number(key):
+        """key's converter: _count where the family reads a count, else float."""
+        return _count if readers.get(key) is read_int else float
+
+    def field(key, convert):
         """The entry, removed and converted; ParameterError naming the key
         if convert rejects it."""
         return read_field({key: entries.pop(key)}, key, convert, "sweep config")
 
-    def count(raw):
-        """A count, such as 5 or 5.0; ValueError for 5.5."""
-        return read_int(float(raw))
-
-    family = entries.pop("family")
-    grid = entries.pop("grid")
-
     def points(raw):
         """The grid points, as floats, which run_sweep's error records
         print; those of a count must be integral."""
-        convert = count if grid in _COUNT_KEYS else float
-        return [float(convert(v)) for v in raw.split(",") if v.strip()]
+        return [float(number(grid)(v)) for v in raw.split(",") if v.strip()]
 
-    grid_values = number("values", points) if "values" in entries else []
+    grid_values = field("values", points) if "values" in entries else []
     mode = entries.pop("mode", "beta_nd" if grid in ("beta", "delta") else "nd").replace("-", "_")
+    if mode == "nd" and grid in ("beta", "delta"):
+        raise ParameterError(f"mode nd has no pay ratio for a {grid} grid to set")
     method_opt = entries.pop("method_opt", "brute").replace("-", "_")
     method_nd = entries.pop("method_nd", "brute").replace("-", "_")
-    seed = number("seed", int) if "seed" in entries else None
-    params = {key: number(key, count if key in _COUNT_KEYS else float) for key in list(entries)}
+    params = {key: field(key, number(key)) for key in list(entries)}
 
     return SweepSpec(
         family=family,
@@ -186,7 +188,6 @@ def parse_sweep_config(text: str) -> SweepSpec:
         grid_values=grid_values,
         methods=(method_opt, method_nd),
         mode=mode,
-        seed=seed,
     )
 
 

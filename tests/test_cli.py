@@ -7,6 +7,8 @@ from unittest import mock
 import pytest
 
 from fairpay.cli import _build_parser, main
+from fairpay.errors import ParameterError
+from fairpay.experiments import FAMILIES, build_instance
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -592,6 +594,8 @@ def test_sweep_config_values_must_be_numbers(tmp_path, capsys):
         ("family = geometric\nT = 3\ngrid = m\nvalues = 2, inf\n", "'values'"),
         ("family = geometric\nT = 3\nm = 3.7\ngrid = delta\nvalues = 0.5\n", "'m'"),
         ("family = random-additive\nn = 6.5\ngrid = beta\nvalues = 2\nseed = 1\n", "'n'"),
+        # an integer literal too large for a float grid point
+        (f"family = random-additive\ngrid = n\nvalues = 4, {10**400}\nseed = 1\n", "'values'"),
     ):
         cfg.write_text(body)
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 2
@@ -633,6 +637,137 @@ def test_sweep_partial_failure_exit_1(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run(["sweep", "--config", cfg, "--out", out]) == 1
     assert "1 failures" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# a parameter that nothing reads exits 2
+
+# a valid value of each parameter that some family takes
+PARAMETER_VALUES = {"m": 2, "T": 3, "n": 4, "epsilon": 1e-6, "M": 30, "delta": 0.5, "beta": 2,
+                    "seed": 1, "cost_margin": 0.5}
+SYMMETRIC = "method_opt = symmetric\nmethod_nd = symmetric\n"
+# per family, the flags of a valid gen command, and a valid sweep config
+# in which a beta or delta key the family does not take sets nothing
+FAMILY_CASES = {
+    "geometric": ({"m": 2, "T": 3}, "T = 3\ngrid = m\nvalues = 2, 3\n"),
+    "lemma8": ({"n": 1000, "M": 30, "delta": 0.5, "epsilon": 0.1},
+               "M = 30\ndelta = 0.5\nepsilon = 0.1\ngrid = n\nvalues = 1000\n" + SYMMETRIC),
+    "lemma9": ({"n": 1000}, "grid = n\nvalues = 1000, 1002\n" + SYMMETRIC),
+    "tight2": ({"beta": 2}, "grid = beta\nvalues = 1, 3\nmethod_opt = two-agent\n"),
+    "random-additive": ({"n": 4, "seed": 1}, "seed = 1\ngrid = n\nvalues = 3, 4\n"),
+    "random-coverage": ({"n": 4, "seed": 2}, "seed = 2\ncost_margin = 0.3\ngrid = n\nvalues = 4\n"),
+    "random-capped": ({"n": 5, "seed": 3}, "n = 5\nseed = 3\ngrid = beta\nvalues = 1, 2\n"),
+}
+
+
+def _gen_argv(family, params, out):
+    flags = [arg for key, value in params.items() for arg in ("--" + key.replace("_", "-"), value)]
+    return ["gen", family, *flags, "--out", out]
+
+
+def _sweep(tmp_path, text):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    return run(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_cases_are_valid(tmp_path, capsys, family):
+    assert set(PARAMETER_VALUES) == {key for _, readers, _ in FAMILIES.values() for key in readers}
+    params, config = FAMILY_CASES[family]
+    assert run(_gen_argv(family, params, tmp_path / "x.json")) == 0
+    assert _sweep(tmp_path, f"family = {family}\n{config}") == 0
+    assert "0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, key) for family, (_, readers, _) in FAMILIES.items()
+    for key in PARAMETER_VALUES if key not in readers
+])
+def test_a_parameter_the_family_does_not_take_exits_2(tmp_path, capsys, family, key):
+    """gen, build_instance and a sweep config each refuse a parameter
+    that the family does not take, and name it."""
+    params, config = FAMILY_CASES[family]
+    out = tmp_path / "x.json"
+    assert run(_gen_argv(family, {**params, key: PARAMETER_VALUES[key]}, out)) == 2
+    _one_error_line(capsys, repr(key))
+    assert not out.exists()
+    with pytest.raises(ParameterError, match=repr(key)):
+        build_instance(family, {**params, key: PARAMETER_VALUES[key]})
+    assert _sweep(tmp_path, f"family = {family}\n{config}{key} = {PARAMETER_VALUES[key]}\n") == 2
+    _one_error_line(capsys, repr(key))
+
+
+RANDOM_N = "family = random-additive\nseed = 1\ngrid = n\nvalues = 5, 6\n"
+
+
+# configs with a key that nothing reads, or that every point would fail
+# on, and the words of the error that each gives
+SWEEP_REFUSALS = {
+    # a grid over a parameter the family does not take
+    "n-grid-over-geometric": ("family = geometric\nm = 3\nT = 3\ngrid = n\nvalues = 3, 4, 5\n",
+                              "'n'"),
+    "m-grid-over-random": ("family = random-additive\nn = 5\nseed = 1\ngrid = m\nvalues = 2, 3\n",
+                           "'m'"),
+    "misspelt-key": (RANDOM_N + "cost_marign = 0.9\n", "'cost_marign'"),
+    # a pay ratio that nothing reads: an nd sweep's, one a delta grid replaces, a second one
+    "beta-in-nd": (RANDOM_N + "beta = 3\n", "'beta'"),
+    "delta-in-nd": (RANDOM_N + "delta = 0.5\n", "'delta'"),
+    "beta-over-delta-grid": (
+        "family = random-additive\nn = 5\nseed = 1\ngrid = delta\nvalues = 0.5\nbeta = 2\n",
+        "'beta'"),
+    "beta-and-delta": (RANDOM_N + "mode = beta-nd\nbeta = 2\ndelta = 0.9\n",
+                       "a beta or a delta parameter, not both"),
+    "no-pay-ratio": (RANDOM_N + "mode = beta-nd\n", "need a beta or delta parameter"),
+    # nd mode over a grid of pay ratios
+    "nd-over-delta-grid": (
+        "family = geometric\nT = 3\nm = 3\ngrid = delta\nvalues = 0.5, 1\nmode = nd\n", "mode nd"),
+    "nd-over-beta-grid": ("family = tight2\ngrid = beta\nvalues = 1, 3\nmode = nd\n", "mode nd"),
+    # a parameter that the grid overwrites
+    "n-and-n-grid": (RANDOM_N + "n = 4\n", "'n'"),
+    "beta-and-beta-grid": ("family = tight2\nbeta = 2\ngrid = beta\nvalues = 1, 3\n", "'beta'"),
+    # a method that solve_with does not know
+    "unknown-method-nd": (RANDOM_N + "method_nd = brutal\n", "method_nd 'brutal'"),
+    "unknown-method-opt": (RANDOM_N + "method_opt = brutal\n", "method_opt 'brutal'"),
+    # a seed for a family that draws nothing
+    "seed-for-geometric": ("family = geometric\nT = 3\ngrid = m\nvalues = 2\nseed = 4\n",
+                           "'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_REFUSALS)
+def test_a_sweep_key_that_selects_nothing_exits_2(tmp_path, capsys, case):
+    """Each config fails when it is read, with one error line that
+    names what nothing reads, and writes no CSV."""
+    config, words = SWEEP_REFUSALS[case]
+    assert _sweep(tmp_path, config) == 2
+    _one_error_line(capsys, words)
+    assert not (tmp_path / "s.csv").exists()
+
+
+# configs whose beta, delta or method each set something
+SWEEP_READS = {
+    "beta-over-n-grid": RANDOM_N + "mode = beta-nd\nbeta = 2\n",
+    "delta-over-n-grid": RANDOM_N + "mode = beta-nd\ndelta = 0.5\n",
+    "brute-force": RANDOM_N + "method_nd = brute-force\n",
+    # lemma8's delta is its own parameter, and the pay ratio's too unless
+    # a beta is given; a delta grid sets the pay ratio only
+    "lemma8-delta": "family = lemma8\nM = 30\ndelta = 0.5\nepsilon = 0.1\ngrid = n\n"
+                    "values = 1000\nmode = beta-nd\n" + SYMMETRIC,
+    "lemma8-beta": "family = lemma8\nM = 30\ndelta = 0.5\nbeta = 3\nepsilon = 0.1\ngrid = n\n"
+                   "values = 1000\nmode = beta-nd\n" + SYMMETRIC,
+    "lemma8-delta-grid": "family = lemma8\nn = 1000\nM = 30\ndelta = 0.5\nepsilon = 0.1\n"
+                         "grid = delta\nvalues = 0.5, 0.9\n" + SYMMETRIC,
+    # tight2's beta is its own parameter under a delta grid
+    "tight2-beta-delta-grid": "family = tight2\nbeta = 2\ngrid = delta\nvalues = 0.5, 1\n"
+                              "method_nd = two-agent\n",
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_READS)
+def test_a_sweep_key_that_sets_something_runs(tmp_path, capsys, case):
+    assert _sweep(tmp_path, SWEEP_READS[case]) == 0
+    assert "0 failures" in capsys.readouterr().out
 
 
 def test_bound_command(capsys):

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairpay.cli import main
+from fairpay.experiments import FAMILIES
 
 # the values a JSON field is replaced by: other types, non-finite and
 # fractional numbers, and ints beyond int64
@@ -79,6 +80,13 @@ SWEEPS = [
     "method_opt = two-agent\nmethod_nd = two-agent\n",
     "family = random-additive\nn = 4\nseed = 2\ngrid = delta\nvalues = 0.5, 1\n",
 ]
+
+# a valid value of each family parameter: the lines added, one at a
+# time, to a valid sweep config, with mode = nd and an unknown method
+SWEEP_PARAMETERS = {"m": 2, "T": 3, "n": 4, "epsilon": 1e-6, "M": 30, "delta": 0.5, "beta": 2,
+                    "seed": 1, "cost_margin": 0.5}
+SWEEP_LINES = [*(f"{key} = {value}" for key, value in SWEEP_PARAMETERS.items()),
+               "mode = nd", "method_nd = brutal"]
 
 
 def _run(argv):
@@ -208,6 +216,21 @@ def test_mutated_sweep_configs_run_or_exit_2(files, text):
     cfg = root / "bad.cfg"
     cfg.write_text(text)
     _check(["sweep", "--config", cfg, "--out", root / "bad.csv"])
+
+
+@pytest.mark.parametrize("base", range(len(SWEEPS)))
+def test_a_sweep_key_added_runs_or_exits_2(tmp_path, base):
+    """A valid config with one more key, each in turn, either runs or is
+    refused as a config error; no added key fails point by point."""
+    assert set(SWEEP_PARAMETERS) == {key for _, readers, _ in FAMILIES.values() for key in readers}
+    cfg = tmp_path / "added.cfg"
+    failed = []
+    for line in SWEEP_LINES:
+        cfg.write_text(f"{SWEEPS[base]}{line}\n")
+        code, err = _run(["sweep", "--config", cfg, "--out", tmp_path / "added.csv"])
+        if code != 0 and not (code == 2 and err.startswith("error: ") and err.count("\n") == 1):
+            failed.append((line, code, err))
+    assert failed == []
 
 
 @pytest.mark.parametrize("n", [63, 2**63, 10**30, 1e308])

@@ -233,15 +233,17 @@ def test_sweep_point_failure_is_recorded():
 
 def test_sweep_error_rows_record_the_instance_size():
     """A point whose solver fails records its instance's n; only a point
-    whose instance fails to build records 0."""
+    whose instance fails to build records 0.  A sweep that lacks a
+    needed parameter fails when it is built, not point by point."""
     symmetric = ("symmetric", "symmetric")  # not a two-class reward: each point fails
     tight = SweepSpec("tight2", {"epsilon": 1e-6}, "beta", [2.0, 3.0], methods=symmetric)
     geometric = SweepSpec("geometric", {"T": 3}, "m", [2, 0, 3], methods=symmetric)
-    unbuilt = SweepSpec("random-coverage", {}, "beta", [1.0, 2.0], seed=3)  # lacks n
-    for sweep, sizes in ((tight, [2, 2]), (geometric, [3, 0, 7]), (unbuilt, [0, 0])):
+    for sweep, sizes in ((tight, [2, 2]), (geometric, [3, 0, 7])):
         records = run_sweep(sweep)
         assert all(r.error is not None for r in records)
         assert [r.n for r in records] == sizes
+    with pytest.raises(ParameterError, match="needs parameter 'n'"):
+        SweepSpec("random-coverage", {}, "beta", [1.0, 2.0], seed=3)
 
 
 def test_sweep_spec_validation():

@@ -1,5 +1,6 @@
 """Relations across instances that any exact optimum satisfies, checked on
-brute_force at n = 2..20, on both sides of SPLIT_N.  Each instance's
+brute_force at n = 2..20, on both sides of SPLIT_N, and on the
+structured solvers, symmetric_solve and geometric_solve.  Each instance's
 regimes are solved in a random order on a shared slot, so that later
 solves take the kept-sets path (rewards.table_rows) where it applies.
 
@@ -7,14 +8,16 @@ OPT is compared within RELATION_TOL: a sum of k equal payments can round
 above k top, and a report prices its winner apart from the kernel."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpay import rewards
 from fairpay.contracts import Instance, ModeSpec
-from fairpay.families import gen_random
+from fairpay.errors import StructureError
+from fairpay.families import gen_geometric_family, gen_random, gen_two_class
 from fairpay.rewards import Additive, CappedAdditive, Coverage
-from fairpay.solvers import SPLIT_N, brute_force
+from fairpay.solvers import SPLIT_N, brute_force, geometric_solve, symmetric_solve
 
 RELATION_TOL = 1e-12
 # loosest last: nd <= beta_nd(1.5) <= beta_nd(4) <= unconstrained
@@ -74,3 +77,98 @@ def test_brute_force_relations_across_instances(
         assert after.best.members == before.best.members
         assert after.best.utility == before.best.utility
         assert after.opt_reference == before.opt_reference
+
+
+def _scaled(inst, s):
+    """inst with its reward and every cost scaled by s."""
+    f = inst.reward
+    if isinstance(f, Coverage):
+        reward = Coverage(f.element_weights * s, f.covers)
+    elif isinstance(f, CappedAdditive):
+        reward = CappedAdditive(f.weights * s, f.cap * s)
+    else:
+        reward = Additive(f.weights * s)
+    return Instance(inst.n, inst.costs * s, reward)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "capped_additive", "coverage"]),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 10_000),
+    s=st.floats(0.01, 1.0),
+)
+def test_brute_force_scales_with_the_reward_and_costs(kind, n, seed, s):
+    """Scaling f and every cost by s leaves each payment rate as it was,
+    so OPT scales by s in every regime, within rounding."""
+    inst = gen_random(kind, n, seed=seed)
+    for spec in CHAIN:
+        opt = brute_force(inst, spec).best.utility
+        assert abs(brute_force(_scaled(inst, s), spec).best.utility - s * opt) <= RELATION_TOL
+
+
+def _structured_chain(solve, inst, betas):
+    """Check nd <= beta <= beta' <= the reports' opt_reference on solve's
+    reports; return their utilities, in that order."""
+    reports = [solve(inst, spec) for spec in (ModeSpec.nd(), *map(ModeSpec.beta_nd, betas))]
+    opt = [rep.best.utility for rep in reports]
+    for tight, loose in zip(opt, opt[1:]):
+        assert tight <= loose + RELATION_TOL, opt
+    for rep in reports:
+        assert rep.best.utility <= rep.opt_reference + RELATION_TOL
+    return opt
+
+
+# lemma8 instances need M > 3 + 1/epsilon and n > M^(1/(1 - delta))
+TWO_CLASS = st.one_of(
+    st.builds(lambda n: gen_two_class("lemma8", n, epsilon=0.1, M=14.0, delta=0.5),
+              st.integers(197, 2000)),
+    st.builds(lambda n: gen_two_class("lemma8", n, epsilon=0.5, M=6.0, delta=0.3),
+              st.integers(13, 2000)),
+    st.builds(lambda n, eps: gen_two_class("lemma9", 2 * n, epsilon=eps),
+              st.integers(500, 1000), st.floats(1e-8, 1e-2)),
+)
+BETAS = st.lists(st.floats(1.0, 1e6), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=TWO_CLASS, betas=BETAS, raise_by=st.sampled_from([1.0 + 2.0**-52, 1.5, 4.0, 1e6]))
+def test_symmetric_solve_relations(inst, betas, raise_by):
+    """The regime chain on the two-class families, and a dearer special
+    agent never raises OPT in any regime."""
+    base = _structured_chain(symmetric_solve, inst, betas)
+    costs = inst.costs.copy()
+    costs[0] *= raise_by
+    dearer = _structured_chain(symmetric_solve, Instance(inst.n, costs, inst.reward), betas)
+    for before, after in zip(base, dearer):
+        assert after <= before + RELATION_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 8),
+    T=st.floats(2.0, 50.0),
+    rescale=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+    betas=BETAS,
+)
+def test_geometric_solve_regime_chain(m, T, rescale, betas):
+    """The regime chain on the geometric family, its costs rescaled,
+    which geometric_solve's gate accepts."""
+    inst = gen_geometric_family(m, T)
+    _structured_chain(geometric_solve, Instance(inst.n, inst.costs * rescale, inst.reward), betas)
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(2, 8), data=st.data())
+def test_geometric_solve_refuses_what_its_gate_cannot_read(m, data):
+    """Expected refusals, not relations: geometric_solve reads the groups
+    from runs, so a relabelling that moves agent 0 breaks them, and
+    scaling the reward breaks the weights 1 / (m 2^k)."""
+    inst = gen_geometric_family(m, 3.0)
+    perm = data.draw(st.permutations(range(inst.n)).filter(lambda p: p[0] != 0))
+    relabelled = Instance(inst.n, inst.costs[perm], Additive(inst.reward.weights[perm]))
+    s = data.draw(st.floats(0.01, 0.99))
+    for refused in (relabelled, _scaled(inst, s)):
+        for spec in CHAIN:
+            with pytest.raises(StructureError):
+                geometric_solve(refused, spec)
