@@ -35,8 +35,9 @@ COMPARE_TOL = 1e-9
 # singleton marginal by less than this, as explicit tables are submodular
 # up to STRUCT_TOL per pair and have at most EXHAUSTIVE_CHECK_LIMIT agents.
 RATE_TOL = EXHAUSTIVE_CHECK_LIMIT * STRUCT_TOL
-# brute_force prices every set whose bound is within this of the bar: nd
-# pays k * top as one product, which may round a few ulps off the rate sum.
+# brute_force prices every set whose bound is within this of the bar: the
+# bound's rate sum, added in another order than the payments, may round
+# above their sum by 4 n^2 u, u = 2^-53 (2e-13 at n = 22).
 BOUND_SLACK = 1e-12
 
 

@@ -93,16 +93,16 @@ def solve_with(inst: Instance, spec: ModeSpec, method: str) -> SolveReport:
     if method == "geometric":
         return geometric_solve(inst, spec)
     if method == "log_partition":
-        if spec.mode != "nd":
-            raise ParameterError("log_partition solves the nd mode only")
+        if spec.pay_ratio != 1:
+            raise ParameterError("log_partition solves the nd mode (beta = 1) only")
         part = log_partition(inst, _default_base(inst))
         return SolveReport(spec, part.best(), "log_partition", len(part.groups), None)
     if method == "delta_partition":
-        if spec.mode != "beta_nd":
-            raise ParameterError("delta_partition solves the beta_nd mode only")
+        if not 1 < spec.pay_ratio < math.inf:
+            raise ParameterError("delta_partition solves the beta_nd mode with beta > 1 only")
         if inst.n < 2:
             raise ParameterError("delta_partition needs n >= 2 to set delta = log(beta) / log(n)")
-        delta = math.log(spec.beta) / math.log(inst.n)
+        delta = math.log(spec.pay_ratio) / math.log(inst.n)
         part = delta_partition(inst, _default_base(inst), delta)
         return SolveReport(spec, part.best(), "delta_partition", len(part.groups), None)
     raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -128,17 +128,16 @@ def _argbest(util, popc):
     return int(cand[popc[cand].argmin()])
 
 
-def _price(values, costs, masks, mode, beta):
+def _price(values, costs, masks, ratio):
     """Unconstrained and mode utilities of the given masks, and their
     member counts, -inf for an infeasible set; values(masks) is f of each.
 
     Agent i's payment in S is costs[i] / (f(S) - f(S - i)); S is
     infeasible when a member's marginal is at most MARGINAL_TOL or its
-    top payment exceeds 1 + COMPARE_TOL.  The unconstrained and beta_nd
-    payments, max(alpha_i, top / beta), are summed in agent order (reduce
-    adds sequentially, np.sum pairwise); nd pays popc * top, which rounds
-    unlike a sum of k tops, so it keeps its own branch rather than
-    ModeSpec.pay_ratio's rule.  Arrays are agents x masks, so that each
+    top payment exceeds 1 + COMPARE_TOL.  Each member is paid max(alpha_i,
+    top / ratio), ModeSpec.pay_ratio's rule, and the payments are summed
+    in agent order (reduce adds sequentially, np.sum pairwise), so nd is
+    ratio 1.0 bit for bit.  Arrays are agents x masks, so that each
     agent's row is contiguous.
     """
     bits = (1 << np.arange(costs.size))[:, None]
@@ -158,12 +157,10 @@ def _price(values, costs, masks, mode, beta):
         return util
 
     ref = utility(functools.reduce(np.add, alpha))
-    if mode == "nd":
-        return ref, utility(popc * top), popc
-    if mode == "beta_nd":
-        floor = np.where(has, np.maximum(alpha, top / beta), 0.0)
-        return ref, utility(functools.reduce(np.add, floor)), popc
-    return ref, ref, popc
+    if ratio == math.inf:
+        return ref, ref, popc
+    floor = np.where(has, np.maximum(alpha, top / ratio), 0.0)  # not pay * has: inf * 0
+    return ref, utility(functools.reduce(np.add, floor)), popc
 
 
 def _ranked(key, util, popc, masks):
@@ -172,13 +169,13 @@ def _ranked(key, util, popc, masks):
     return key if i is None else min(key, (-util[i], int(popc[i]), int(masks[i])))
 
 
-def _priced(rows, costs, masks, mode, beta, best, ref):
+def _priced(rows, costs, masks, ratio, best, ref):
     """best and ref, the _rank keys of the best sets so far in the mode
     and unconstrained, each lowered to the best of the masks, which are
     priced PRICE_BLOCK at a time and ascend within each block."""
     for c in range(0, masks.size, PRICE_BLOCK):
         block = masks[c : c + PRICE_BLOCK]
-        ref_u, util_u, popc = _price(rows.values, costs, block, mode, beta)
+        ref_u, util_u, popc = _price(rows.values, costs, block, ratio)
         best, ref = _ranked(best, util_u, popc, block), _ranked(ref, ref_u, popc, block)
     return best, ref
 
@@ -211,10 +208,9 @@ def _row_slack(n):
     return n * n / 4 * (STRUCT_TOL + 4 * u) + (18 * (2 * n + 1) + 7) * u
 
 
-def _table_best(rows, costs, mode, beta):
-    """Best masks for the requested mode and for the unconstrained mode
+def _table_best(rows, costs, ratio):
+    """Best masks for the pay ratio's mode and for the unconstrained mode
     over every subset, from the value table's rows (rewards.TableRows).
-    mode and beta stay apart, not a pay ratio, for _price's nd product.
 
     Up to PRICE_ALL_N agents every set is priced in one block, which
     costs less than the bound passes below: they cost a few passes and
@@ -230,20 +226,18 @@ def _table_best(rows, costs, mode, beta):
     the sum of its high agents' (with one row, the fold alone, bit for
     bit the payments' order).  Both sums are of at most n rates below 2,
     so R exceeds the sum of the payments by at most 4 n^2 u, 2e-13 at
-    n = 22 with u = 2^-53.  B = (1 - R) t thus falls short of the
-    unconstrained and beta_nd utilities by at most that, and of the nd
-    one by that plus the rounding of the product k top, far less than
-    BOUND_SLACK in all.  The bar is the best exact utility found so far
-    in each mode, starting from the empty set's 0, raised by pricing each
-    batch's argmax B: only the sets whose bound reaches it less
-    BOUND_SLACK can win, and at a bar of 0 no set with t[S] = 0, which
-    ties the empty set at best.
+    n = 22 with u = 2^-53.  B = (1 - R) t thus falls short of every
+    mode's utility by at most that, far less than BOUND_SLACK.  The bar
+    is the best exact utility found so far in each mode, starting from
+    the empty set's 0, raised by pricing each batch's argmax B: only the
+    sets whose bound reaches it less BOUND_SLACK can win, and at a bar of
+    0 no set with t[S] = 0, which ties the empty set at best.
 
     When the price of non-discrimination is high, B stays above the nd or
     beta_nd bar on many sets.  Once pricing them, n operations each,
     would cost more than a pass over the batch, the mode's own bound
-    (1 - k rho / beta) t, with beta = 1 for nd, prunes them again: every
-    member is paid at least top / beta >= rho[S] / beta, the largest rate.
+    (1 - k rho / ratio) t prunes them again: every member is paid at
+    least top / ratio >= rho[S] / ratio, rho[S] being the largest rate.
     Survivors are priced exactly, PRICE_BLOCK masks at a time, each once
     for both modes, and ranked by _rank.
 
@@ -257,14 +251,14 @@ def _table_best(rows, costs, mode, beta):
     B reached the bar of their time, at most tau.  A later solve at equal
     costs prices them first, and when both of its bests among them reach
     tau, no set outside can beat or tie them, so their _rank winners are
-    the full kernel's.  They do when the later regime is at least as
-    loose as the first: nd <= beta_nd(beta) <= beta_nd(beta') <=
-    unconstrained utility for beta <= beta', set by set, exactly, and in
-    floats but for the rounding of k top against a sum of k payments (no
-    such miss in 2,400 solves of gen_random instances at n = 9..20, each
-    after an nd solve).  Otherwise the full kernel runs and replaces what
-    is kept.  tau <= BOUND_SLACK, when the empty set may tie, keeps
-    nothing.
+    the full kernel's.  They always do when the later regime is at least
+    as loose as the first: for a fixed set, top / ratio falls as the
+    ratio grows, and float max, +, 1 - x and x f >= 0 are all monotone,
+    so nd <= beta_nd(beta) <= beta_nd(beta') <= unconstrained utility for
+    beta <= beta' holds set by set in floats, and the first solve's two
+    winners, which are kept, reach their bars again.  Otherwise the full
+    kernel runs and replaces what is kept.  tau <= BOUND_SLACK, when the
+    empty set may tie, keeps nothing.
 
     Rows: agents 0..k-1 pick a mask's column and the rest its row h (k =
     n below SPLIT_N, one row, the dense table).  Above, k = ceil(n / 2),
@@ -288,11 +282,11 @@ def _table_best(rows, costs, mode, beta):
     """
     n, k = costs.size, rows.k
     if n <= PRICE_ALL_N:
-        best, ref = _priced(rows, costs, np.arange(1 << n), mode, beta, EMPTY_RANK, EMPTY_RANK)
+        best, ref = _priced(rows, costs, np.arange(1 << n), ratio, EMPTY_RANK, EMPTY_RANK)
         return best[2], ref[2]
     if rows.survivors is not None and np.array_equal(rows.survivors[0], costs):
         _, bar, masks = rows.survivors
-        best, ref = _priced(rows, costs, masks, mode, beta, EMPTY_RANK, EMPTY_RANK)
+        best, ref = _priced(rows, costs, masks, ratio, EMPTY_RANK, EMPTY_RANK)
         if min(-best[0], -ref[0]) >= bar:
             return best[2], ref[2]
     t_low = rows.rows(np.zeros(1, np.intp))[0]  # row 0: the low sets
@@ -333,7 +327,7 @@ def _table_best(rows, costs, mode, beta):
         """The best (unconstrained, mode) utilities so far, raised to the
         exact ones of argmax bound."""
         masks = masks_of(np.array([bound.argmax()]), hs)
-        ref_u, util_u, _ = _price(rows.values, costs, masks, mode, beta)
+        ref_u, util_u, _ = _price(rows.values, costs, masks, ratio)
         return max(ref_u[0], -ref[0]), max(util_u[0], -best[0])
 
     def row_fold(low_fold, high_fold, op, hs):
@@ -358,7 +352,7 @@ def _table_best(rows, costs, mode, beta):
         cand = np.flatnonzero(keep)
         masks = masks_of(cand, hs)
         held.append((masks, bound.ravel()[cand]))
-        if mode != "unconstrained" and cand.size * n > keep.size:
+        if ratio < math.inf and cand.size * n > keep.size:
             keep_ref = reach(bound, t, bar_ref)
             if mode_folds is None:
                 ones = np.ones(n, np.uint8)
@@ -371,13 +365,12 @@ def _table_best(rows, costs, mode, beta):
             top_low, top_high, count_low, count_high = mode_folds
             pay = row_fold(top_low, top_high, np.maximum, hs)
             np.multiply(pay, row_fold(count_low, count_high, np.add, hs), out=pay)
-            if mode == "beta_nd":
-                np.divide(pay, beta, out=pay)
+            np.divide(pay, ratio, out=pay)
             bound = utility(pay, t)
             keep &= reach(bound, t, max(bar, bars(bound, hs)[1]))
             keep |= keep_ref
             masks = masks_of(np.flatnonzero(keep), hs)
-        best, ref = _priced(rows, costs, masks, mode, beta, best, ref)
+        best, ref = _priced(rows, costs, masks, ratio, best, ref)
     bar = min(-best[0], -ref[0])
     rows.survivors = None
     if bar > BOUND_SLACK:
@@ -422,7 +415,7 @@ def brute_force(
             "use the symmetric or partition methods"
         )
     k = n if n < SPLIT_N else (n + 1) // 2
-    best, ref = _table_best(table_rows(inst.reward, k), inst.costs, spec.mode, spec.beta)
+    best, ref = _table_best(table_rows(inst.reward, k), inst.costs, spec.pay_ratio)
     return _report(inst, spec, "brute_force", 1 << n, best, ref)
 
 

@@ -259,6 +259,37 @@ def test_solve_delta_partition_single_agent_exit_2(tmp_path, capsys):
     assert "n >= 2" in capsys.readouterr().err
 
 
+def test_solve_nd_and_beta_nd_one_write_the_same_set(tmp_path):
+    """nd is beta = 1: on a geometric instance whose best sets lie an ulp
+    apart, both commands write the same set and utility."""
+    inst = _gen_geo(tmp_path, m=4, T=4.766237031887716)
+    written = []
+    for mode in (["--mode", "nd"], ["--mode", "beta-nd", "--beta", 1]):
+        out = tmp_path / "r.json"
+        assert run(["solve", "--in", inst, "--method", "brute", "--out", out, *mode]) == 0
+        written.append(json.loads(out.read_text()))
+    assert written[0]["set"] == written[1]["set"]
+    assert written[0]["utility"] == written[1]["utility"]
+
+
+def test_partitions_read_the_pay_ratio(tmp_path, capsys):
+    """log-partition solves beta = 1 as nd; delta-partition needs beta > 1,
+    as delta = log(beta) / log(n) must be positive."""
+    inst = _gen_geo(tmp_path, m=3, T=3)
+    sets = []
+    for mode in (["--mode", "nd"], ["--mode", "beta-nd", "--beta", 1]):
+        out = tmp_path / "r.json"
+        assert run(["solve", "--in", inst, "--method", "log-partition", "--out", out, *mode]) == 0
+        sets.append(json.loads(out.read_text())["set"])
+    assert sets[0] == sets[1]
+    capsys.readouterr()
+    out = tmp_path / "d.json"
+    assert run(["solve", "--in", inst, "--method", "delta-partition", "--mode", "beta-nd",
+                "--beta", 1, "--out", out]) == 2
+    _one_error_line(capsys, "beta > 1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["n", "costs", "reward"])
 def test_instance_file_missing_key_exit_2(tmp_path, capsys, key):
     data = {

@@ -1,23 +1,28 @@
 """Relations across instances that any exact optimum satisfies, checked on
 brute_force at n = 2..20, on both sides of SPLIT_N, and on the
-structured solvers, symmetric_solve and geometric_solve.  Each instance's
+structured solvers, symmetric_solve and geometric_solve; and nd as the
+pay ratio 1, the same regime as beta_nd(1.0), on every exact solver.  Each instance's
 regimes are solved in a random order on a shared slot, so that later
 solves take the kept-sets path (rewards.table_rows) where it applies.
 
-OPT is compared within RELATION_TOL: a sum of k equal payments can round
-above k top, and a report prices its winner apart from the kernel."""
+OPT is compared within RELATION_TOL: a report prices its winner apart
+from the kernel, marginals and np.sum against table differences and a
+sum in agent order, and the structured solvers price a class as a count
+times a rate."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairpay import rewards
 from fairpay.contracts import Instance, ModeSpec
-from fairpay.errors import StructureError
+from fairpay.errors import SizeLimitError, StructureError
+from fairpay.experiments import random_two_agent_instance, solve_with
 from fairpay.families import gen_geometric_family, gen_random, gen_two_class
 from fairpay.rewards import Additive, CappedAdditive, Coverage
 from fairpay.solvers import SPLIT_N, brute_force, geometric_solve, symmetric_solve
+from test_solvers import _cold, _equal_rate_instances, _report_bytes
 
 RELATION_TOL = 1e-12
 # loosest last: nd <= beta_nd(1.5) <= beta_nd(4) <= unconstrained
@@ -172,3 +177,55 @@ def test_geometric_solve_refuses_what_its_gate_cannot_read(m, data):
         for spec in CHAIN:
             with pytest.raises(StructureError):
                 geometric_solve(refused, spec)
+
+
+def _rescaled_geometric(m, T, scale):
+    inst = gen_geometric_family(m, T)
+    return Instance(inst.n, inst.costs * scale, inst.reward)
+
+
+EXACT = [
+    brute_force,
+    geometric_solve,
+    symmetric_solve,
+    lambda inst, spec: solve_with(inst, spec, "two_agent"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inst=st.one_of(
+        st.builds(
+            gen_random,
+            st.sampled_from(["additive", "capped_additive", "coverage"]),
+            st.one_of(st.integers(1, 20), st.integers(SPLIT_N - 2, 20)),
+            seed=st.integers(0, 10_000),
+        ),
+        st.builds(_rescaled_geometric, st.integers(2, 4), st.floats(2.0, 50.0),
+                  st.one_of(st.just(1.0), st.floats(1e-3, 1e3))),
+        _equal_rate_instances(),
+        TWO_CLASS,
+        st.builds(random_two_agent_instance, st.integers(0, 2**32 - 1).map(np.random.default_rng)),
+    )
+)
+# two sets of the geometric family whose nd utilities lie an ulp apart
+@example(inst=gen_geometric_family(4, 4.766237031887716))
+def test_nd_is_beta_nd_one_on_every_exact_solver(inst):
+    """Every exact solver whose gate accepts inst reports the same set,
+    payments, utility and opt_reference byte for byte under nd and under
+    beta_nd(1.0), cold or after a solve of the other; a solver refuses
+    both or neither."""
+    nd, one = ModeSpec.nd(), ModeSpec.beta_nd(1.0)
+    accepted = 0
+    for solve in EXACT:
+        try:
+            expected = _cold(solve, inst, nd)
+        except (SizeLimitError, StructureError) as refusal:
+            with pytest.raises(type(refusal)):
+                solve(inst, one)
+            continue
+        accepted += 1
+        assert _report_bytes(solve(inst, one)) == expected
+        assert _cold(solve, inst, one) == expected
+        assert _report_bytes(solve(inst, nd)) == expected
+    assert accepted

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairpay.contracts import (
@@ -268,11 +268,13 @@ def test_brute_force_empty_when_nothing_profitable():
     assert rep.best.members == 0 and rep.best.utility == 0.0
 
 
-def _full_pass_reference(table, costs, mode, beta):
+def _full_pass_reference(table, costs, ratio):
     """(mode best, unconstrained best) masks of a dense table from full
     passes over all 2^n sets, as brute_force made them before it bounded
     each set by its agents' singleton rates; the arithmetic is those
-    passes', kept as the reference for the bound-pruned scan."""
+    passes', kept as the reference for the bound-pruned scan.  ratio is
+    ModeSpec.pay_ratio: each member is paid max(alpha_i, top / ratio),
+    summed in agent order, so nd is ratio 1.0."""
     size = table.size
     max_a = np.zeros(size)
     sum_a = np.zeros(size)
@@ -303,11 +305,9 @@ def _full_pass_reference(table, costs, mode, beta):
         return _argbest(pay, popc)
 
     ref = select(sum_a)
-    if mode == "unconstrained":
+    if ratio == math.inf:
         return ref, ref
-    if mode == "nd":
-        return select(np.multiply(popc, max_a, out=max_a)), ref
-    floor = np.divide(max_a, beta, out=max_a)
+    floor = np.divide(max_a, ratio, out=max_a)
     pay = np.zeros(size)
     for i in range(costs.size):
         a = alphas(i)
@@ -325,7 +325,7 @@ def _bound_passes():
 
 def _reference_report(inst, spec):
     table = inst.reward.value_table()
-    best, ref = _full_pass_reference(table, inst.costs, spec.mode, spec.beta)
+    best, ref = _full_pass_reference(table, inst.costs, spec.pay_ratio)
     ref_utility = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained()).utility
     out = optimal_contract_for_set(inst, best, spec)
     return SolveReport(spec, out, "brute_force", 1 << inst.n, ref_utility)
@@ -360,20 +360,24 @@ def _nudged_explicit(draw):
     return Instance(n, cov.costs, reward)
 
 
-@st.composite
-def _equal_rate_instances(draw):
+def _equal_rate(n, k, w, explicit=False):
     """n agents of equal weight w at rate 1 / (2k + 1), where k and k + 1
     agents tie exactly in every mode: (1 - k r) k w = (1 - (k + 1) r)(k + 1) w.
-    Which one wins is decided by rounding, in nd by the product k top
-    against the sum of the rates."""
+    Which one wins is decided by the rounding of the sum of the rates."""
+    reward = Additive(np.full(n, w))
+    if explicit:
+        reward = ExplicitTable(n, reward.value_table())
+    return Instance(n, np.full(n, w / (2 * k + 1)), reward)
+
+
+@st.composite
+def _equal_rate_instances(draw):
+    """_equal_rate's instances, as Additive or ExplicitTable rewards."""
     n = draw(st.integers(2, 12))
     k = draw(st.integers(1, n - 1))
     w = draw(st.sampled_from([1 / 16, 0.05, 0.1, 1 / n, 1 / (n + 1), 0.7 / n]))
     assume(n * w <= 1.0)
-    reward = Additive(np.full(n, w))
-    if draw(st.booleans()):
-        reward = ExplicitTable(n, reward.value_table())
-    return Instance(n, np.full(n, w / (2 * k + 1)), reward)
+    return _equal_rate(n, k, w, draw(st.booleans()))
 
 
 @st.composite
@@ -414,6 +418,10 @@ def _spec(mode, beta, n):
     mode=st.sampled_from(["unconstrained", "nd", "beta_nd"]),
     beta=_BETAS,
 )
+# equal-rate near-ties where the sum of k payments and k top round apart
+@example(inst=_equal_rate(6, 5, 1 / 16), mode="nd", beta="1")
+@example(inst=_equal_rate(7, 5, 1 / 16), mode="nd", beta="1")
+@example(inst=_equal_rate(7, 5, 1 / 8), mode="nd", beta="1")
 def test_bound_scan_matches_full_pass(inst, mode, beta):
     spec = _spec(mode, beta, inst.n)
     expected = _report_bytes(_reference_report(inst, spec))
@@ -656,14 +664,41 @@ def test_a_solve_after_nd_prices_only_the_kept_sets(n):
                 assert 0 < kept.size <= 300
                 priced, price = [], solvers._price
 
-                def counted(values, costs, masks, mode, beta):
+                def counted(values, costs, masks, ratio):
                     priced.append(masks.size)
-                    return price(values, costs, masks, mode, beta)
+                    return price(values, costs, masks, ratio)
 
                 with mock.patch.object(solvers, "_price", counted), \
                         mock.patch.object(rows, "rows", side_effect=rows.rows) as asked:
                     assert _report_bytes(brute_force(inst, spec)) == expected
                 assert sum(priced) == kept.size and asked.call_count == 0
+
+
+# tightest first by pay ratio; nd and beta_nd(1) are the one ratio 1
+_LOOSENING = [ModeSpec.nd(), ModeSpec.beta_nd(1.0), ModeSpec.beta_nd(1.5),
+              ModeSpec.beta_nd(4.0), ModeSpec.beta_nd(1e6), ModeSpec.unconstrained()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["coverage", "additive", "capped_additive"]),
+    n=st.integers(9, 20),
+    seed=st.integers(0, 10_000),
+    pair=st.lists(st.integers(0, len(_LOOSENING) - 1), min_size=2, max_size=2).map(sorted),
+)
+def test_a_looser_regime_values_no_row(kind, n, seed, pair):
+    """After a solve in any regime, a solve at the same costs in a regime
+    at least as loose prices the kept sets only: it asks for no row, and
+    reports byte for byte what a solve from an emptied slot reports
+    (_table_best, "Reuse")."""
+    first, second = (_LOOSENING[i] for i in pair)
+    inst = gen_random(kind, n, seed=seed)
+    expected = _cold(brute_force, inst, second)
+    brute_force(inst, first)
+    rows = rewards.table_rows(inst.reward, n if n < SPLIT_N else (n + 1) // 2)
+    with mock.patch.object(rows, "rows", side_effect=rows.rows) as asked:
+        assert _report_bytes(brute_force(inst, second)) == expected
+    assert asked.call_count == 0
 
 
 def test_bound_scan_breaks_ties_like_full_pass():
