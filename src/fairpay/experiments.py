@@ -18,8 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .contracts import Instance, ModeSpec
-from .contracts import optimal_contract_for_set  # noqa: F401 - bench/tracing.py wraps this name
+from .contracts import Instance, ModeSpec, optimal_contract_for_set
 from .errors import ParameterError
 from .families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
 from .rewards import ExplicitTable, read_field, read_float, read_int
@@ -104,7 +103,9 @@ def solve_with(inst: Instance, spec: ModeSpec, method: str) -> SolveReport:
             raise ParameterError("delta_partition needs n >= 2 to set delta = log(beta) / log(n)")
         delta = math.log(spec.pay_ratio) / math.log(inst.n)
         part = delta_partition(inst, _default_base(inst), delta)
-        return SolveReport(spec, part.best(), "delta_partition", len(part.groups), None)
+        # the best group priced at spec's beta, which n^delta may miss by an ulp
+        best = optimal_contract_for_set(inst, part.best().members, spec)
+        return SolveReport(spec, best, "delta_partition", len(part.groups), None)
     raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -182,11 +183,9 @@ def _family(family: str, given, ratio_keys=()) -> tuple:
     return entry
 
 
-def build_instance(family: str, params: dict, seed: int | None = None) -> Instance:
-    """Construct a family instance from a flat parameter mapping, seed
-    standing in for a missing "seed", each read by the family's reader."""
-    if seed is not None and "seed" not in params:
-        params = {**params, "seed": seed}
+def build_instance(family: str, params: dict) -> Instance:
+    """Construct a family instance from a flat parameter mapping, each
+    value read by the family's reader."""
     generator, readers, _ = _family(family, params)
     read = {key: read_field(params, key, readers[key], f"family {family!r}") for key in params}
     return generator(**read)
@@ -198,17 +197,20 @@ class SweepSpec:
 
     A grid sets the family parameter of its name, if the family takes
     it (m, n, tight2's beta), and else the pay ratio: beta, or n^delta.
-    Over an m or n grid in beta_nd mode, a beta or delta parameter sets
-    the pay ratio; anywhere else, one the family does not take is an
-    error, as is every parameter that nothing reads."""
+    The mode defaults to beta_nd over a beta or delta grid, which nd
+    would leave nothing to set, and to nd otherwise.  Over an m or n
+    grid in beta_nd mode, a beta or delta parameter sets the pay ratio;
+    anywhere else, one the family does not take is an error, as is
+    every parameter that nothing reads.  Each parameter the family
+    takes, and each grid point that sets one, must pass the family's
+    reader: a seed is the parameter "seed", and a count is integral."""
 
     family: str
     params: dict
     grid_param: str
     grid_values: list
     methods: tuple[str, str] = ("brute", "brute")
-    mode: str = "nd"
-    seed: int | None = None
+    mode: str | None = None
 
     def __post_init__(self):
         grid, params = self.grid_param, self.params
@@ -216,13 +218,17 @@ class SweepSpec:
             raise ParameterError(f"grid must be one of beta/delta/m/n, got {grid!r}")
         if not self.grid_values:
             raise ParameterError("sweep grid is empty")
+        if self.mode is None:
+            object.__setattr__(self, "mode", "beta_nd" if grid in ("beta", "delta") else "nd")
         if self.mode not in ("nd", "beta_nd"):
             raise ParameterError(f"sweep mode must be nd or beta_nd, got {self.mode!r}")
+        if self.mode == "nd" and grid in ("beta", "delta"):
+            raise ParameterError(f"mode nd has no pay ratio for a {grid} grid to set")
         for key, method in zip(("method_opt", "method_nd"), self.methods):
             if method not in (*METHODS, "brute_force"):
                 raise ParameterError(f"{key} {method!r} is not one of {METHODS}")
-        # a grid gives the parameter of its name, bar delta, and seed gives "seed"
-        given = [*params, *[grid] * (grid != "delta"), *["seed"] * (self.seed is not None)]
+        # a grid gives the parameter of its name, bar delta
+        given = [*params, *[grid] * (grid != "delta")]
         readers = _family(self.family, given, ("beta", "delta"))[1]
         if grid in params and grid != "delta":
             raise ParameterError(f"parameter {grid!r} is also the grid")
@@ -234,20 +240,17 @@ class SweepSpec:
             raise ParameterError("a beta_nd sweep takes a beta or a delta parameter, not both")
         if self.mode == "beta_nd" and grid in ("m", "n") and not {"beta", "delta"} & set(params):
             raise ParameterError("beta_nd sweeps need a beta or delta parameter")
-
-
-def _sweep_params(sweep: SweepSpec, value) -> dict:
-    """The family parameters of one grid point: the sweep's that the
-    family takes, with the grid value in place of the one it sets."""
-    readers, grid = FAMILIES[sweep.family][1], sweep.grid_param
-    params = {key: v for key, v in sweep.params.items() if key in readers}
-    if grid in readers and grid != "delta":
-        params[grid] = value
-    return params
+        where = f"family {self.family!r}"
+        for key in params:
+            if key in readers:
+                read_field(params, key, readers[key], where)
+        if grid in readers and grid != "delta":
+            for value in self.grid_values:
+                read_field({"values": value}, "values", readers[grid], where)
 
 
 def _sweep_point(sweep: SweepSpec, value, inst: Instance) -> RatioRecord:
-    if sweep.grid_param in ("m", "n") and sweep.mode == "nd":
+    if sweep.mode == "nd":  # over an m or n grid, the only grids nd sweeps
         return pond_ratio(inst, ModeSpec.nd(), sweep.methods)
     # the pay ratio is the grid's, or else that of a beta or delta parameter
     ratio = {sweep.grid_param: value} if sweep.grid_param in ("beta", "delta") else sweep.params
@@ -260,29 +263,29 @@ def _sweep_point(sweep: SweepSpec, value, inst: Instance) -> RatioRecord:
 def run_sweep(sweep: SweepSpec, out_path=None) -> list[RatioRecord]:
     """Evaluate every grid point; failures become error records, not aborts.
 
-    Points run one after another in grid order.  A point whose family
-    parameters equal the previous point's reuses its instance, so a beta
-    or delta grid builds one instance, and its solves share its value
-    table, or the sets kept on its rows (rewards.table_rows).  An error
-    record carries the built instance's n, or 0 when the instance itself
-    failed to build.  When out_path is given the records are also written
-    as CSV.
+    Points run one after another in grid order.  A grid that sets no
+    family parameter has one instance, built before the first point, and
+    its solves share its value table, or the sets kept on its rows
+    (rewards.table_rows); an error from that build propagates.  Else each
+    point builds its own instance once the previous one is dropped, and
+    an error record carries the built instance's n, or 0 when the
+    instance itself failed to build.  When out_path is given the records
+    are also written as CSV.
     """
+    readers, grid = FAMILIES[sweep.family][1], sweep.grid_param
+    params = {key: value for key, value in sweep.params.items() if key in readers}
+    shared = None if grid in readers and grid != "delta" else build_instance(sweep.family, params)
     records = []
-    built = None  # (params, instance) of the last successful build
     for value in sweep.grid_values:
-        n = 0
+        inst = shared
         try:
-            params = _sweep_params(sweep, value)
-            if built is None or built[0] != params:
-                built = None  # free the previous instance first
-                built = params, build_instance(sweep.family, params, sweep.seed)
-            inst = built[1]
-            n = inst.n
+            if inst is None:
+                inst = build_instance(sweep.family, {**params, grid: value})
             records.append(_sweep_point(sweep, value, inst))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
             records.append(RatioRecord(
-                instance_id=f"{sweep.family}[{sweep.grid_param}={value}]", n=n,
+                instance_id=f"{sweep.family}[{grid}={value}]",
+                n=0 if inst is None else inst.n,
                 beta=None, delta=None, opt=None, opt_nd=None, ratio=None,
                 method_opt=sweep.methods[0], method_nd=sweep.methods[1],
                 error=f"{type(exc).__name__}: {exc}",

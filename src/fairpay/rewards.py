@@ -170,14 +170,13 @@ def _weight_vector(weights: Sequence[float]) -> np.ndarray:
     return w
 
 
-def fold_subsets(op, values, dtype=float, out=None) -> np.ndarray:
+def fold_subsets(op, values, dtype=float) -> np.ndarray:
     """Array over all 2^n masks of op folded over each mask's values in
     agent order from 0, built in one buffer by doubling: the masks whose
     highest member is agent i are the masks below 1 << i with values[i]
     folded in.  fold_subsets(np.add, w) holds every mask's sum of w.
     values may be the n rows of a 2-d array, folded entry by entry."""
-    if out is None:
-        out = np.empty((1 << len(values), *np.shape(values)[1:]), dtype)
+    out = np.empty((1 << len(values), *np.shape(values)[1:]), dtype)
     out[0] = 0
     for i, v in enumerate(values):
         op(out[: 1 << i], v, out=out[1 << i : 2 << i])

@@ -13,7 +13,7 @@ import math
 
 from .contracts import Contract, Instance
 from .errors import ParameterError
-from .experiments import FAMILIES, SweepSpec
+from .experiments import SweepSpec
 from .rewards import as_mask, json_object, read_field, read_floats, read_int, reward_from_descriptor
 from .solvers import SolveReport
 
@@ -127,17 +127,19 @@ def result_contract(data: dict, n: int) -> tuple[Contract, int]:
 # ---------------------------------------------------------------------------
 # sweep configuration: flat "key = value" lines, '#' comments
 
-def _count(raw: str) -> int:
-    """A count in a config value: 5, read exactly, or 5.0; ValueError for 5.5."""
-    return int(raw) if raw.isdigit() else read_int(float(raw))
+def _number(raw: str):
+    """A number in a config value: an int, read exactly, when it is all
+    digits, and else a float."""
+    return int(raw) if raw.isdigit() else float(raw)
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a sweep configuration.
 
     Recognized keys: family, grid, values (comma-separated), mode,
-    method_opt, method_nd, and parameters, read as experiments.FAMILIES
-    reads them; SweepSpec refuses those that nothing reads.
+    method_opt, method_nd, and parameters, each read as a number;
+    SweepSpec works out the mode the config leaves out, reads the
+    parameters as the family does, and refuses those that nothing reads.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,11 +159,6 @@ def parse_sweep_config(text: str) -> SweepSpec:
         raise ParameterError("sweep config needs a grid parameter")
     family = entries.pop("family")
     grid = entries.pop("grid")
-    readers = FAMILIES[family][1] if family in FAMILIES else {}
-
-    def number(key):
-        """key's converter: _count where the family reads a count, else float."""
-        return _count if readers.get(key) is read_int else float
 
     def field(key, convert):
         """The entry, removed and converted; ParameterError naming the key
@@ -169,17 +166,14 @@ def parse_sweep_config(text: str) -> SweepSpec:
         return read_field({key: entries.pop(key)}, key, convert, "sweep config")
 
     def points(raw):
-        """The grid points, as floats, which run_sweep's error records
-        print; those of a count must be integral."""
-        return [float(number(grid)(v)) for v in raw.split(",") if v.strip()]
+        """The grid points, as floats, which run_sweep's error records print."""
+        return [float(_number(v)) for v in raw.split(",") if v.strip()]
 
     grid_values = field("values", points) if "values" in entries else []
-    mode = entries.pop("mode", "beta_nd" if grid in ("beta", "delta") else "nd").replace("-", "_")
-    if mode == "nd" and grid in ("beta", "delta"):
-        raise ParameterError(f"mode nd has no pay ratio for a {grid} grid to set")
+    mode = entries.pop("mode", "").replace("-", "_") or None
     method_opt = entries.pop("method_opt", "brute").replace("-", "_")
     method_nd = entries.pop("method_nd", "brute").replace("-", "_")
-    params = {key: field(key, number(key)) for key in list(entries)}
+    params = {key: field(key, _number) for key in list(entries)}
 
     return SweepSpec(
         family=family,

@@ -49,7 +49,8 @@ from .contracts import (
     optimal_contract_for_set,
 )
 from .errors import EmptySetError, ParameterError, SizeLimitError, StructureError
-from .rewards import EXHAUSTIVE_CHECK_LIMIT, STRUCT_TOL, as_mask, fold_subsets, table_rows
+from .rewards import EXHAUSTIVE_CHECK_LIMIT, STRUCT_TOL, Additive, as_mask, fold_subsets
+from .rewards import table_rows
 
 BRUTE_FORCE_LIMIT = EXHAUSTIVE_CHECK_LIMIT
 # masks priced per block by _table_best
@@ -678,24 +679,23 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
 def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     """Exact optimum for two-class rewards over 2(n + 1) candidates.
 
-    Requires a symmetric_two_class reward and identical costs for the
-    identical agents.  The two classes are the special agent and the
-    count_b identical ones, so _class_solve's candidates are (special
-    agent in or out) x (the t lowest-index identical agents), which covers
-    every distinct utility with the smallest mask.  The scan checks three
-    blocks per mode and scores those that can still win, a few scalar
-    steps each; pricing the winner and the reference is O(n) array work.
+    Requires an additive reward, symmetric_two_class among them, whose
+    agents after the first share one weight and one cost.  The two
+    classes are agent 0 and the n - 1 identical ones, so _class_solve's
+    candidates are (agent 0 in or out) x (the t lowest-index identical
+    agents), which covers every distinct utility with the smallest mask.
+    The scan checks three blocks per mode and scores those that can
+    still win, a few scalar steps each; checking the classes and pricing
+    the winner and the reference are O(n) array work.
     """
     r = inst.reward
-    if r.kind != "symmetric_two_class":
-        raise StructureError(
-            f"symmetric_solve needs a symmetric_two_class reward, got {r.kind}"
-        )
-    tail = inst.costs[1:]
-    if not np.all(tail == tail[0]):
-        raise StructureError("identical agents must share a single cost")
-    costs = [float(inst.costs[0]), float(tail[0])]
-    return _class_solve(inst, spec, "symmetric", [1, r.count_b], [r.f_a, r.f_b], costs)
+    if not isinstance(r, Additive) or inst.n < 2:
+        raise StructureError(f"symmetric_solve needs an additive reward of n >= 2, got {r.kind}")
+    w, c = r.weights, inst.costs
+    if not (np.all(w[2:] == w[1]) and np.all(c[2:] == c[1])):
+        raise StructureError("identical agents must share a single weight and cost")
+    sizes, weights, costs = [1, inst.n - 1], w[:2].tolist(), c[:2].tolist()
+    return _class_solve(inst, spec, "symmetric", sizes, weights, costs)
 
 
 def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
@@ -716,7 +716,7 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     winner and the reference.
     """
     r = inst.reward
-    if r.kind != "additive":
+    if not isinstance(r, Additive):
         raise StructureError(f"geometric solving needs an additive reward, got {r.kind}")
     w, c = r.weights, inst.costs
     change = (w[1:] != w[:-1]) | (c[1:] != c[:-1])

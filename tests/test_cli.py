@@ -292,23 +292,24 @@ def test_partitions_read_the_pay_ratio(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["n", "costs", "reward"])
 def test_instance_file_missing_key_exit_2(tmp_path, capsys, key):
-    data = {
+    """solve and check structure each refuse a file that lacks a key, or
+    that has another version, with one error line."""
+    full = {
         "version": "1", "n": 2, "costs": [0.1, 0.1],
         "reward": {"kind": "additive", "weights": [0.4, 0.4]},
         "metadata": {},
     }
-    del data[key]
+    partial = {k: v for k, v in full.items() if k != key}
     inst = tmp_path / "partial.json"
-    inst.write_text(json.dumps(data))
-    assert run(["solve", "--in", inst, "--mode", "nd", "--out", tmp_path / "r.json"]) == 2
-    assert repr(key) in capsys.readouterr().err
-    if key == "reward":
-        assert run(["check", "structure", "--in", inst]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err
+    for data, words in ((partial, repr(key)),
+                        ({**full, "version": "7"}, "unsupported instance file version '7'")):
+        inst.write_text(json.dumps(data))
+        for argv in (["solve", "--in", inst, "--mode", "nd", "--out", tmp_path / "r.json"],
+                     ["check", "structure", "--in", inst]):
+            assert run(argv) == 2
+            _one_error_line(capsys, words)
     # a reward descriptor without its parameters is reported the same way
-    data = {**data, "reward": {"kind": "additive"}}
-    inst.write_text(json.dumps(data))
+    inst.write_text(json.dumps({**partial, "reward": {"kind": "additive"}}))
     assert run(["check", "structure", "--in", inst]) == 2
     assert "'weights'" in capsys.readouterr().err
 
@@ -660,6 +661,16 @@ def test_sweep_random_family_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
     cfg.write_text("family = random-additive\ngrid = n\nvalues = 4, 6\nseed = 3\n")
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 0
+
+
+def test_sweep_unbuildable_shared_instance_exit_2(tmp_path, capsys):
+    """A beta grid's one instance is built before the first point: a
+    seed it cannot take exits 2 with one error line and writes no CSV."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = random-additive\nn = 5\nseed = -1\ngrid = beta\nvalues = 1, 2\n")
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 2
+    _one_error_line(capsys, "seed must be nonnegative, got -1")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_partial_failure_exit_1(tmp_path, capsys):

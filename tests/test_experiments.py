@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpay.contracts import Instance, ModeSpec, is_equilibrium
+from fairpay.contracts import Instance, ModeSpec, is_equilibrium, optimal_contract_for_set
 from fairpay.errors import ParameterError, StructureError
 from fairpay.experiments import (
     CSV_COLUMNS,
@@ -24,7 +24,7 @@ from fairpay.experiments import (
     verify_bounds,
     write_csv,
 )
-from fairpay.families import gen_geometric_family, gen_two_agent_tight
+from fairpay.families import gen_geometric_family, gen_random, gen_two_agent_tight
 from fairpay.rewards import Additive, Coverage
 from fairpay.solvers import brute_force, two_agent_bound
 from test_structured_scans import _specs
@@ -156,6 +156,26 @@ def test_geometric_solve_rejects_labeled_instances_off_the_family(inst, brute_se
             geometric_solve(inst, spec)
 
 
+def test_delta_partition_prices_its_set_under_the_spec_it_reports():
+    """A delta_partition report is its set priced under its own spec,
+    byte for byte, though the groups are priced at beta = n^delta with
+    delta = ln beta / ln n, which can miss beta by an ulp; at n = 9 and
+    beta = 3 it did, and the report's largest payment was then 3 times
+    its smallest and an ulp."""
+    inst = gen_random("additive", 9, seed=0)
+    report = solve_with(inst, ModeSpec.beta_nd(3.0), "delta_partition")
+    paid = report.best.payments.payments[report.best.member_list()]
+    assert report.best.member_list() == [2, 4, 6] and paid.max() / paid.min() == 3.0
+    for k in range(36):
+        inst = gen_random(("additive", "coverage", "capped_additive")[k % 3], 2 + k % 11, seed=k)
+        for delta in (0.3, 0.5, 0.8, 1.0):
+            spec = ModeSpec.beta_nd(inst.n**delta)
+            best = solve_with(inst, spec, "delta_partition").best
+            canonical = optimal_contract_for_set(inst, best.members, spec)
+            assert best.payments.payments.tobytes() == canonical.payments.payments.tobytes()
+            assert best.utility == canonical.utility
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -207,14 +227,14 @@ def test_sweep_lemma9_n_grid():
 
 def test_beta_sweep_builds_its_instance_and_table_once():
     grid = [1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0]
-    sweep = SweepSpec("random-coverage", {"n": 10}, "beta", grid, mode="beta_nd", seed=3)
+    sweep = SweepSpec("random-coverage", {"n": 10, "seed": 3}, "beta", grid, mode="beta_nd")
     build = Coverage.value_table
     with mock.patch.object(Coverage, "value_table", autospec=True, side_effect=build) as calls:
         records = run_sweep(sweep)
     assert calls.call_count == 1
     # the same CSV as solving each point on an instance of its own
-    separate = [pond_ratio(build_instance("random-coverage", {"n": 10}, 3), ModeSpec.beta_nd(b))
-                for b in grid]
+    separate = [pond_ratio(build_instance("random-coverage", {"n": 10, "seed": 3}),
+                           ModeSpec.beta_nd(b)) for b in grid]
     assert records_to_csv(records) == records_to_csv(separate)
 
 
@@ -235,15 +255,15 @@ def test_sweep_error_rows_record_the_instance_size():
     """A point whose solver fails records its instance's n; only a point
     whose instance fails to build records 0.  A sweep that lacks a
     needed parameter fails when it is built, not point by point."""
-    symmetric = ("symmetric", "symmetric")  # not a two-class reward: each point fails
-    tight = SweepSpec("tight2", {"epsilon": 1e-6}, "beta", [2.0, 3.0], methods=symmetric)
-    geometric = SweepSpec("geometric", {"T": 3}, "m", [2, 0, 3], methods=symmetric)
+    # solvers whose gates refuse each point's instance
+    tight = SweepSpec("tight2", {"epsilon": 1e-6}, "beta", [2.0, 3.0], methods=("geometric",) * 2)
+    geometric = SweepSpec("geometric", {"T": 3}, "m", [2, 0, 3], methods=("two_agent",) * 2)
     for sweep, sizes in ((tight, [2, 2]), (geometric, [3, 0, 7])):
         records = run_sweep(sweep)
         assert all(r.error is not None for r in records)
         assert [r.n for r in records] == sizes
     with pytest.raises(ParameterError, match="needs parameter 'n'"):
-        SweepSpec("random-coverage", {}, "beta", [1.0, 2.0], seed=3)
+        SweepSpec("random-coverage", {"seed": 3}, "beta", [1.0, 2.0])
 
 
 def test_sweep_spec_validation():
@@ -262,6 +282,39 @@ def test_build_instance_missing_param():
         build_instance("random-additive", {"n": 5})
     with pytest.raises(ParameterError, match="unknown family"):
         build_instance("quadratic", {})
+
+
+def test_sweep_mode_follows_the_grid():
+    """The mode defaults to beta_nd over a beta or delta grid and to nd
+    otherwise; nd over a grid of pay ratios would leave it nothing to set."""
+    geometric = {"m": 3, "T": 3.0}
+    assert SweepSpec("geometric", geometric, "beta", [2.0]).mode == "beta_nd"
+    assert SweepSpec("geometric", geometric, "delta", [0.5]).mode == "beta_nd"
+    assert SweepSpec("geometric", {"T": 3.0}, "m", [2]).mode == "nd"
+    for grid in ("beta", "delta"):
+        with pytest.raises(ParameterError, match=f"mode nd has no pay ratio for a {grid} grid"):
+            SweepSpec("geometric", geometric, grid, [2.0], mode="nd")
+
+
+@pytest.mark.parametrize("family, params, grid, values, key", [
+    ("geometric", {"T": 3}, "m", [2.5], "'values'"),
+    ("random-additive", {"seed": 1}, "n", [4, 5.5], "'values'"),
+    ("random-additive", {"n": 4, "seed": 1.5}, "beta", [2.0], "'seed'"),
+    ("geometric", {"m": 3.7, "T": 3}, "delta", [0.5], "'m'"),
+])
+def test_sweep_spec_reads_each_value_as_the_family_does(family, params, grid, values, key):
+    """A parameter or grid point that the family's reader refuses raises
+    when the sweep is made, naming its key, not point by point."""
+    with pytest.raises(ParameterError, match=key):
+        SweepSpec(family, params, grid, values)
+
+
+def test_a_shared_instance_that_fails_to_build_raises():
+    """A beta grid's one instance is built before the first point, so a
+    seed it cannot take raises once instead of failing every point."""
+    sweep = SweepSpec("random-additive", {"n": 4, "seed": -1}, "beta", [1.0, 2.0])
+    with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
+        run_sweep(sweep)
 
 
 # ---------------------------------------------------------------------------

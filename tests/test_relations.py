@@ -1,7 +1,8 @@
 """Relations across instances that any exact optimum satisfies, checked on
 brute_force at n = 2..20, on both sides of SPLIT_N, and on the
-structured solvers, symmetric_solve and geometric_solve; and nd as the
-pay ratio 1, the same regime as beta_nd(1.0), on every exact solver.  Each instance's
+structured solvers, symmetric_solve and geometric_solve; nd as the
+pay ratio 1, the same regime as beta_nd(1.0), on every exact solver;
+and the partition guarantees on relabelled instances.  Each instance's
 regimes are solved in a random order on a shared slot, so that later
 solves take the kept-sets path (rewards.table_rows) where it applies.
 
@@ -12,7 +13,7 @@ times a rate."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairpay import rewards
@@ -20,8 +21,15 @@ from fairpay.contracts import Instance, ModeSpec
 from fairpay.errors import SizeLimitError, StructureError
 from fairpay.experiments import random_two_agent_instance, solve_with
 from fairpay.families import gen_geometric_family, gen_random, gen_two_class
-from fairpay.rewards import Additive, CappedAdditive, Coverage
-from fairpay.solvers import SPLIT_N, brute_force, geometric_solve, symmetric_solve
+from fairpay.rewards import Additive, CappedAdditive, Coverage, ExplicitTable
+from fairpay.solvers import (
+    SPLIT_N,
+    brute_force,
+    delta_partition,
+    geometric_solve,
+    log_partition,
+    symmetric_solve,
+)
 from test_solvers import _cold, _equal_rate_instances, _report_bytes
 
 RELATION_TOL = 1e-12
@@ -38,10 +46,12 @@ def _solve(inst, order):
 
 def _with_dummy(inst, cost):
     """inst with an agent n appended that adds nothing to any set: weight
-    0, or an empty cover."""
+    0, an empty cover, or a table that ignores it."""
     f = inst.reward
     if isinstance(f, Coverage):
         reward = Coverage(f.element_weights, [*f.covers, []])
+    elif isinstance(f, ExplicitTable):
+        reward = ExplicitTable(inst.n + 1, np.tile(f.table, 2))
     elif isinstance(f, CappedAdditive):
         reward = CappedAdditive([*f.weights, 0.0], f.cap)
     else:
@@ -82,6 +92,78 @@ def test_brute_force_relations_across_instances(
         assert after.best.members == before.best.members
         assert after.best.utility == before.best.utility
         assert after.opt_reference == before.opt_reference
+
+
+def _with_dear_cover(inst, elements):
+    """inst with an agent n appended that covers the given elements at a
+    cost twice its singleton value, a rate of 2 or more in every set."""
+    f = inst.reward
+    reward = Coverage(f.element_weights, [*f.covers, elements])
+    cost = 2 * reward.value(1 << inst.n) or 0.5  # a dummy of weight 0 at any cost
+    return Instance(inst.n + 1, np.append(inst.costs, cost), reward)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "capped_additive", "coverage", "explicit"]),
+    n=st.integers(1, 11),
+    seed=st.integers(0, 10_000),
+    dummy_cost=st.sampled_from([1e-9, 0.01, 0.5]),
+    data=st.data(),
+)
+def test_a_dummy_agent_leaves_every_brute_force_report(kind, n, seed, dummy_cost, data):
+    """On every reward kind, explicit tables too, an appended agent that
+    adds nothing, or a coverage agent that costs twice its singleton
+    value, leaves the members, utility and opt_reference of every regime
+    as they were, byte for byte."""
+    inst = gen_random("coverage" if kind == "explicit" else kind, n, seed=seed)
+    if kind == "explicit":
+        inst = Instance(n, inst.costs, ExplicitTable(n, inst.reward.value_table()))
+    dummies = [_with_dummy(inst, dummy_cost)]
+    if kind == "coverage":
+        size = inst.reward.element_weights.size
+        dummies.append(_with_dear_cover(inst, data.draw(st.sets(st.integers(0, size - 1),
+                                                                 min_size=1))))
+    for spec in CHAIN:
+        before = brute_force(inst, spec)
+        for dummy in dummies:
+            after = brute_force(dummy, spec)
+            assert after.best.members == before.best.members
+            assert after.best.utility == before.best.utility
+            assert after.opt_reference == before.opt_reference
+
+
+def _relabelled(inst, perm):
+    """inst with agent perm[i] as its agent i."""
+    f = inst.reward
+    if isinstance(f, Coverage):
+        reward = Coverage(f.element_weights, [f.covers[p] for p in perm])
+    elif isinstance(f, CappedAdditive):
+        reward = CappedAdditive(f.weights[perm], f.cap)
+    else:
+        reward = Additive(f.weights[perm])
+    return Instance(inst.n, inst.costs[perm], reward)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "capped_additive", "coverage"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_partition_guarantees_hold_under_relabelling(kind, n, seed, data):
+    """The lemma2 and lemma6 guarantees, as verify_bounds checks them,
+    on a random relabelling of the agents."""
+    inst = _relabelled(gen_random(kind, n, seed=seed), data.draw(st.permutations(range(n))))
+    base = brute_force(inst, ModeSpec.unconstrained()).best
+    assume(base.members)
+    part = log_partition(inst, base.members)
+    assert part.best().utility >= base.utility / part.guarantee_denominator - 1e-9
+    for delta in (0.5, 1.0):
+        part = delta_partition(inst, base.members, delta)
+        bound = (base.utility - n**-delta) / part.guarantee_denominator - 1e-9
+        assert part.best().utility >= bound
 
 
 def _scaled(inst, s):

@@ -1084,6 +1084,21 @@ def test_symmetric_solve_structure_errors():
         symmetric_solve(uneven, ModeSpec.nd())
 
 
+@settings(max_examples=40, deadline=None)
+@given(inst=_two_class_instances(), beta=st.floats(1.0, 1e4))
+@example(inst=gen_two_class("lemma9", 1000, epsilon=1e-6), beta=2.0)
+def test_symmetric_solve_reads_an_additive_reward_by_its_numbers(inst, beta):
+    """An Additive with a two-class reward's weights is solved as the
+    SymmetricTwoClass is: the same members and candidates examined, and
+    the utility within 1e-12, in every regime."""
+    plain = Instance(inst.n, inst.costs, Additive(inst.reward.weights))
+    for spec in _specs(inst.n, beta):
+        got, want = symmetric_solve(plain, spec), symmetric_solve(inst, spec)
+        assert got.best.members == want.best.members
+        assert got.candidates_examined == want.candidates_examined
+        assert abs(got.best.utility - want.best.utility) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # two agents
 
