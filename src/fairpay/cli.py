@@ -19,7 +19,7 @@ from .errors import FairpayError, ParameterError
 from .experiments import FAMILIES, METHODS, build_instance, run_sweep, solve_with
 from .rewards import check_structure, json_object, mask_to_indices, read_int, reward_from_descriptor
 from .serialize import (
-    instance_from_dict,
+    _instance_from_dict,
     load_instance,
     load_result,
     load_sweep_config,
@@ -149,7 +149,7 @@ def cmd_check(args) -> int:
             raise ParameterError("--sample requires an explicit --seed")
         report = check_structure(reward, samples=args.sample, seed=args.seed)
         if report.monotone and report.submodular:
-            instance_from_dict(data)  # a pass is a file that solve reads
+            _instance_from_dict(data, reward)  # a pass is a file that solve reads
             print(f"pass: monotone and submodular ({report.checks} checks)")
             return 0
         s, t, i = report.witness

@@ -90,7 +90,17 @@ class Contract:
     payments: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.payments, dtype=float)
+        self._own(np.array(self.payments, dtype=float))
+
+    @classmethod
+    def _of(cls, payments: np.ndarray) -> "Contract":
+        """A contract over a float array that no caller writes again,
+        checked as the constructor checks it, but not copied."""
+        contract = object.__new__(cls)
+        contract._own(payments)
+        return contract
+
+    def _own(self, p: np.ndarray) -> None:
         p.setflags(write=False)
         object.__setattr__(self, "payments", p)
         if p.ndim != 1:
@@ -174,17 +184,18 @@ def indifference_payment(inst: Instance, i: int, subset) -> float | None:
     return float(inst.costs[i]) / marg
 
 
-@np.errstate(over="ignore")  # an inf payment is above 1: infeasible
 def _indifference_payments(inst: Instance, mask: int):
-    """Members of a nonempty set as a boolean vector, and their
-    indifference payments costs[S] / marginals(S)[S] in index order, bit
-    for bit indifference_payment; the payments are None when a member's
-    marginal vanishes."""
+    """Members of a nonempty set as a boolean vector, their indifference
+    payments costs[S] / marginals(S)[S] in index order, bit for bit
+    indifference_payment, or None when a member's marginal vanishes, and
+    f(S), all from one RewardFunction._member_terms call."""
     members = mask_to_bools(mask, inst.n)
-    marg = inst.reward.marginals(mask)[members]
+    marg, value = inst.reward._member_terms(mask, members)
     if marg.min() <= MARGINAL_TOL:
-        return members, None
-    return members, inst.costs[members] / marg
+        return members, None, value
+    alphas = inst.costs[members]
+    with np.errstate(over="ignore"):  # an inf payment is above 1: infeasible
+        return members, np.divide(alphas, marg, out=alphas), value
 
 
 def group_payment_nd(inst: Instance, subset) -> float | None:
@@ -198,11 +209,28 @@ def group_payment_nd(inst: Instance, subset) -> float | None:
 
 
 def _empty_outcome(n: int) -> IncentiveOutcome:
-    return IncentiveOutcome(0, Contract(np.zeros(n)), 0.0, True)
+    return IncentiveOutcome(0, Contract._of(np.zeros(n)), 0.0, True)
 
 
-def _infeasible(n: int, mask: int, reason: str) -> IncentiveOutcome:
-    return IncentiveOutcome(mask, Contract(np.zeros(n)), float("-inf"), False, reason)
+def _price_set(inst: Instance, mask: int, ratio: float):
+    """(reason, members, pay, utility) of a nonempty set whose members
+    are each paid max(indifference, top / ratio): reason is None, or why
+    the set is infeasible, with pay None and utility -inf."""
+    members, alphas, value = _indifference_payments(inst, mask)
+    if alphas is None:
+        return "zero-marginal", members, None, -math.inf
+    # every mode pays the top member exactly top (top / ratio <= top)
+    top = float(alphas.max())
+    if top > 1 + COMPARE_TOL:
+        return "payment-above-one", members, None, -math.inf
+    pay = np.maximum(alphas, top / ratio, out=alphas)
+    return None, members, pay, float((1.0 - pay.sum()) * value)
+
+
+def _utility(inst: Instance, mask: int) -> float:
+    """optimal_contract_for_set's unconstrained utility for a validated
+    mask, with no contract built."""
+    return _price_set(inst, mask, math.inf)[3] if mask else 0.0
 
 
 def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> IncentiveOutcome:
@@ -213,28 +241,22 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
     nd's is top.  Utility is (1 - total payment) * f(S); it may be
     negative for feasible sets.
 
-    Members are priced together, costs[S] / marginals(S)[S], so the cost
-    is one marginals call plus O(n) array work: O(n) for rewards with
-    constant marginals, n + 1 value-oracle calls for the others.
+    Members are priced together, costs[S] / marginals(S)[S], from one
+    RewardFunction._member_terms call, which also gives f(S): pricing an
+    s-member set makes s + 1 _value_of_mask calls on a capped reward,
+    sums s + 1 coverage rows on a coverage one, and calls no oracle on
+    additive and explicit rewards; the rest is O(n) array work.
     """
     mask = as_mask(subset, inst.n)
     n = inst.n
     if mask == 0:
         return _empty_outcome(n)
-
-    members, alphas = _indifference_payments(inst, mask)
-    if alphas is None:
-        return _infeasible(n, mask, "zero-marginal")
-
-    # every mode pays the top member exactly top (top / pay_ratio <= top)
-    top = float(alphas.max())
-    if top > 1 + COMPARE_TOL:
-        return _infeasible(n, mask, "payment-above-one")
-    pay = np.maximum(alphas, top / spec.pay_ratio, out=alphas)  # no caller shares alphas
+    reason, members, pay, utility = _price_set(inst, mask, spec.pay_ratio)
+    if reason is not None:
+        return IncentiveOutcome(mask, Contract._of(np.zeros(n)), utility, False, reason)
     payments = np.zeros(n)
-    payments[members] = np.minimum(pay, 1.0)
-    utility = (1.0 - pay.sum()) * inst.reward.value(mask)
-    return IncentiveOutcome(mask, Contract(payments), float(utility), True)
+    payments[members] = np.minimum(pay, 1.0, out=pay)
+    return IncentiveOutcome(mask, Contract._of(payments), utility, True)
 
 
 def effort_gains(inst: Instance, contract: Contract, subset) -> np.ndarray:

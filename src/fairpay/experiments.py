@@ -201,9 +201,11 @@ class SweepSpec:
     would leave nothing to set, and to nd otherwise.  Over an m or n
     grid in beta_nd mode, a beta or delta parameter sets the pay ratio;
     anywhere else, one the family does not take is an error, as is
-    every parameter that nothing reads.  Each parameter the family
-    takes, and each grid point that sets one, must pass the family's
-    reader: a seed is the parameter "seed", and a count is integral."""
+    every parameter that nothing reads.  That constant beta must be
+    finite and >= 1, and a delta finite and >= 0.  Each parameter the
+    family takes, and each grid point that sets one, must pass the
+    family's reader: a seed is the parameter "seed", and a count is
+    integral."""
 
     family: str
     params: dict
@@ -238,9 +240,17 @@ class SweepSpec:
                                  "in a beta_nd sweep over an m or n grid")
         if len(ratio_keys) == 2:
             raise ParameterError("a beta_nd sweep takes a beta or a delta parameter, not both")
-        if self.mode == "beta_nd" and grid in ("m", "n") and not {"beta", "delta"} & set(params):
-            raise ParameterError("beta_nd sweeps need a beta or delta parameter")
         where = f"family {self.family!r}"
+        if self.mode == "beta_nd" and grid in ("m", "n"):
+            # the constant pay ratio, read as _sweep_point reads it
+            key = "beta" if "beta" in params else "delta"
+            if key not in params:
+                raise ParameterError("beta_nd sweeps need a beta or delta parameter")
+            value = read_field(params, key, read_float, "sweep config")
+            if key == "beta":
+                ModeSpec.beta_nd(value)
+            elif not 0 <= value < math.inf:
+                raise ParameterError(f"a delta parameter must be finite and >= 0, got {value}")
         for key in params:
             if key in readers:
                 read_field(params, key, readers[key], where)

@@ -80,7 +80,7 @@ def mask_to_indices(mask: int) -> list[int]:
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
     """Boolean membership vector of length n for a bitmask."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def _clip01(x: float) -> float:
@@ -128,6 +128,14 @@ class RewardFunction(ABC):
             else:
                 out[i] = self.value(mask | bit) - f_S
         return out
+
+    def _member_terms(self, mask: int, members: np.ndarray) -> tuple[np.ndarray, float]:
+        """The members' marginals and f(S), bit for bit marginals(mask)[members]
+        and value(mask), for a validated mask and its mask_to_bools; this
+        version makes |S| + 1 _value_of_mask calls."""
+        f_S = _clip01(self._value_of_mask(mask))
+        drop = (mask ^ 1 << i for i in np.flatnonzero(members).tolist())
+        return np.array([f_S - _clip01(self._value_of_mask(m)) for m in drop]), f_S
 
     def value_table(self) -> np.ndarray:
         """Dense table of f over all 2^n bitmasks (index = mask): _oracle's
@@ -249,6 +257,10 @@ class Additive(RewardFunction):
         as_mask(subset, self.n)
         return self.weights.copy()
 
+    def _member_terms(self, mask, members):
+        w = self.weights[members]  # _value_of_mask sums this gather
+        return w, _clip01(float(w.sum()))
+
     def value_table(self) -> np.ndarray:
         return _additive_table(self.weights)
 
@@ -366,6 +378,12 @@ class Coverage(RewardFunction):
         f_S, others = values[0], values[1:]
         return np.where(members, f_S - others, others - f_S)
 
+    def _member_terms(self, mask, members):
+        cover = self._incidence[members]  # marginals' rows of S and its members: |S| + 1
+        hits = cover.sum(axis=0)
+        values = np.clip(self._sums(np.vstack([hits > 0, hits > cover])), 0.0, 1.0)
+        return values[0] - values[1:], float(values[0])
+
     def _oracle(self, k: int):
         """RewardFunction._oracle: f of a mask is one lookup per chunk of
         CHUNK elements, added in chunk order.  A chunk's table, the
@@ -449,6 +467,10 @@ class ExplicitTable(RewardFunction):
     def _value_of_mask(self, mask: int) -> float:
         return float(self.table[mask])
 
+    def _member_terms(self, mask, members):
+        f_S = float(self.table[mask])  # the table is clipped already
+        return f_S - self.table[mask ^ 1 << np.flatnonzero(members)], f_S
+
     def value_table(self) -> np.ndarray:
         return self.table.copy()
 
@@ -495,6 +517,9 @@ class SymmetricTwoClass(Additive):
         t = (mask >> 1).bit_count()
         return a_in * self.f_a + t * self.f_b
 
+    def _member_terms(self, mask, members):
+        return self.weights[members], _clip01(self._value_of_mask(mask))
+
     def descriptor(self) -> dict:
         return {
             "kind": "symmetric_two_class",
@@ -519,11 +544,13 @@ class TableRows:
     lower of its two optimal utilities, and in ascending order every mask
     whose utility bound under those costs reached that bar less
     BOUND_SLACK, which a later solve at those costs prices first.
+    report is None or, with k = n, check_structure's exhaustive report
+    on the table, which a later check of f returns.
     """
 
     def __init__(self, f: RewardFunction, k: int):
         self.f, self.k = f, k
-        self.survivors = None
+        self.survivors = self.report = None
         if k < f.n:
             self.values, self.rows = f._oracle(k)
             return
@@ -614,11 +641,12 @@ def check_structure(
     """Verify monotonicity and submodularity of a reward function.
 
     Up to EXHAUSTIVE_CHECK_LIMIT agents every condition is evaluated on the
-    dense table, read through dense_table, so a solve of the same reward
-    that follows reuses it: monotonicity as f(S + i) >= f(S) for all S
-    and i not in S, and submodularity in its pairwise form f(i | S + j)
-    <= f(i | S) for all S and distinct i, j outside S (equivalent to the
-    nested-sets form).  Agent i's monotonicity compares the two halves of the table
+    dense table, read through table_rows, so a solve of the same reward
+    that follows reuses the table, and a later check the report kept
+    beside it: monotonicity as f(S + i) >= f(S) for all S and i not in
+    S, and submodularity in its pairwise form f(i | S + j) <= f(i | S)
+    for all S and distinct i, j outside S (equivalent to the nested-sets
+    form).  Agent i's monotonicity compares the two halves of the table
     along bit i.  The gains f(S + i) - f(S) of a block of agents form one
     array, NaN (so never a violation) where S holds i, and its two halves
     along bit j hold the submodularity conditions of every pair (i, j)
@@ -634,7 +662,10 @@ def check_structure(
     n = f.n
     mono = sub = None
     if n <= EXHAUSTIVE_CHECK_LIMIT:
-        table = dense_table(f)
+        kept = table_rows(f, n)
+        if kept.report is not None:
+            return kept.report
+        table = kept.table
         rows = max(1, GAINS_BLOCK >> n)
         found_mono, found_sub = [], []
         for lo in range(0, n, rows):
@@ -694,7 +725,10 @@ def check_structure(
                 break
 
     violated = "monotone" if mono else ("submodular" if sub else None)
-    return StructureReport(mono is None, sub is None, mono or sub, violated, checks)
+    report = StructureReport(mono is None, sub is None, mono or sub, violated, checks)
+    if n <= EXHAUSTIVE_CHECK_LIMIT:
+        kept.report = report
+    return report
 
 
 def json_object(data, where: str) -> dict:

@@ -31,6 +31,11 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    return _instance_from_dict(data, None)
+
+
+def _instance_from_dict(data: dict, reward) -> Instance:
+    """instance_from_dict around reward, if not None, built from data's descriptor."""
     if json_object(data, "instance file").get("version") != FILE_VERSION:
         raise ParameterError(f"unsupported instance file version {data.get('version')!r}")
     missing = [key for key in ("n", "costs", "reward") if key not in data]
@@ -42,7 +47,7 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(
         n=read_field(data, "n", read_int, "instance file"),
         costs=read_field(data, "costs", read_floats, "instance file"),
-        reward=reward_from_descriptor(data["reward"]),
+        reward=reward_from_descriptor(data["reward"]) if reward is None else reward,
         metadata=metadata or None,
     )
 

@@ -44,7 +44,8 @@ from .contracts import (
     Instance,
     ModeSpec,
     _empty_outcome,
-    _indifference_payments,
+    _price_set,
+    _utility,
     indifference_payment,  # noqa: F401 - bench/tracing.py wraps this name
     optimal_contract_for_set,
 )
@@ -384,8 +385,7 @@ def _report(inst, spec, method, examined, best, ref) -> SolveReport:
     """Report of an exact solver: its winner mask priced under spec, and
     the unconstrained optimum, the utility of the mask ref."""
     out = optimal_contract_for_set(inst, best, spec)
-    ref_out = optimal_contract_for_set(inst, ref, ModeSpec.unconstrained())
-    return SolveReport(spec, out, method, examined, ref_out.utility)
+    return SolveReport(spec, out, method, examined, _utility(inst, ref))
 
 
 def brute_force(
@@ -424,18 +424,15 @@ def _base_alphas(inst: Instance, base) -> tuple[int, dict[int, float]]:
     """Validate a partition base set and return member payments within it.
 
     The base is feasible as optimal_contract_for_set decides, from the
-    same one pricing: no member's marginal vanishes and none is paid
-    above 1 + COMPARE_TOL.
+    same one pricing (unconstrained pay is the indifference payments):
+    no member's marginal vanishes and none is paid above 1 + COMPARE_TOL.
     """
     base_mask = as_mask(base, inst.n)
     if base_mask == 0:
         raise EmptySetError("partition base set must be nonempty")
-    members, alphas = _indifference_payments(inst, base_mask)
-    if alphas is None or alphas.max() > 1 + COMPARE_TOL:
-        reason = "zero-marginal" if alphas is None else "payment-above-one"
-        raise ParameterError(
-            f"base set is not feasible under unconstrained payments ({reason})"
-        )
+    reason, members, alphas, _ = _price_set(inst, base_mask, math.inf)
+    if reason is not None:
+        raise ParameterError(f"base set is not feasible under unconstrained payments ({reason})")
     return base_mask, dict(zip(np.flatnonzero(members).tolist(), alphas.tolist()))
 
 

@@ -453,6 +453,30 @@ def test_check_structure_fail_with_witness(tmp_path, capsys):
     assert "submodular" in out and "witness" in out
 
 
+def test_check_structure_checks_a_passing_explicit_table_once(tmp_path, capsys):
+    """check structure reads the instance around the reward it checked, so
+    the Instance's own check returns the kept report: one exhaustive check
+    per run.  A failing table is checked once too, and the output stays."""
+    from fairpay import rewards
+
+    cov = build_instance("random-coverage", {"n": 10, "seed": 4})
+    failing = [0.0, 0.2, 0.2, 0.6]
+    for n, table, code in ((10, cov.reward.value_table().tolist(), 0), (2, failing, 1)):
+        path = tmp_path / f"explicit-{n}.json"
+        path.write_text(json.dumps({
+            "version": "1", "n": n, "costs": [0.01] * n,
+            "reward": {"kind": "explicit", "n": n, "table": table}, "metadata": {},
+        }))
+        with mock.patch.object(rewards, "StructureReport", wraps=rewards.StructureReport) as made:
+            assert run(["check", "structure", "--in", path]) == code
+        assert made.call_count == 1
+        out = capsys.readouterr().out
+        if code == 0:
+            assert out == f"pass: monotone and submodular ({(n * (n + 1) << n) >> 2} checks)\n"
+        else:
+            assert out.startswith("fail: not submodular; witness S=[] T=[1] i=0")
+
+
 def test_check_structure_sample_requires_seed(tmp_path, capsys):
     inst = tmp_path / "big.json"
     run(["gen", "lemma9", "--n", 1000, "--epsilon", "1e-6", "--out", inst])
@@ -761,6 +785,9 @@ SWEEP_REFUSALS = {
     "beta-and-delta": (RANDOM_N + "mode = beta-nd\nbeta = 2\ndelta = 0.9\n",
                        "a beta or a delta parameter, not both"),
     "no-pay-ratio": (RANDOM_N + "mode = beta-nd\n", "need a beta or delta parameter"),
+    # a constant pay ratio out of range would fail every point
+    "beta-below-one": (RANDOM_N + "mode = beta-nd\nbeta = 0.5\n", "requires beta >= 1"),
+    "negative-delta": (RANDOM_N + "mode = beta-nd\ndelta = -1\n", "delta parameter must be"),
     # nd mode over a grid of pay ratios
     "nd-over-delta-grid": (
         "family = geometric\nT = 3\nm = 3\ngrid = delta\nvalues = 0.5, 1\nmode = nd\n", "mode nd"),

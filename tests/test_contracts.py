@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from fairpay.contracts import (
     COMPARE_TOL,
+    MARGINAL_TOL,
     Contract,
     Instance,
     ModeSpec,
+    _utility,
     best_response_step,
     group_payment_nd,
     indifference_payment,
@@ -20,8 +22,15 @@ from fairpay.contracts import (
 )
 from fairpay.errors import ContractLogicError, EmptySetError, ParameterError
 from fairpay.experiments import random_two_agent_instance
-from fairpay.families import gen_geometric_family, gen_random, gen_two_agent_tight
-from fairpay.rewards import Additive, CappedAdditive, Coverage, SymmetricTwoClass, mask_to_indices
+from fairpay.families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
+from fairpay.rewards import (
+    Additive,
+    CappedAdditive,
+    Coverage,
+    ExplicitTable,
+    SymmetricTwoClass,
+    mask_to_indices,
+)
 from fairpay.solvers import _base_alphas
 
 
@@ -414,3 +423,144 @@ def test_best_response_step_matches_scalar_comparison(kind, n, seed, data):
     gain = contract.payments * marg - inst.costs
     assume(np.all(np.abs(np.abs(gain) - COMPARE_TOL) > 1e-12))
     assert best_response_step(inst, contract, mask) == _best_response_scalar(inst, contract, mask)
+
+
+# ---------------------------------------------------------------------------
+# pricing from the members' terms alone
+
+
+def _price_from_marginals(inst, mask, spec):
+    """(members, payment bytes, utility bytes, feasible, reason) of a set,
+    priced from reward.marginals(mask)[members] and reward.value(mask), as
+    optimal_contract_for_set priced it before it read only its members."""
+    n = inst.n
+    if mask == 0:
+        return 0, np.zeros(n).tobytes(), np.float64(0.0).tobytes(), True, None
+    members = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+    marg = inst.reward.marginals(mask)[members]
+    infeasible = mask, np.zeros(n).tobytes(), np.float64(-np.inf).tobytes(), False
+    if marg.min() <= MARGINAL_TOL:
+        return *infeasible, "zero-marginal"
+    with np.errstate(over="ignore"):
+        alphas = inst.costs[members] / marg
+    top = float(alphas.max())
+    if top > 1 + COMPARE_TOL:
+        return *infeasible, "payment-above-one"
+    pay = np.maximum(alphas, top / spec.pay_ratio)
+    payments = np.zeros(n)
+    payments[members] = np.minimum(pay, 1.0)
+    utility = float((1.0 - pay.sum()) * inst.reward.value(mask))
+    return mask, payments.tobytes(), np.float64(utility).tobytes(), True, None
+
+
+def _outcome_bytes(out):
+    return (out.members, out.payments.payments.tobytes(), np.float64(out.utility).tobytes(),
+            out.feasible, out.infeasibility_reason)
+
+
+def _pricing_instance(kind, n, seed):
+    """An instance in which agent 0's marginal vanishes in every set and
+    agent 1 costs twice its singleton marginal, so that every set holding
+    agent 1 and not agent 0 is paid above 1 or has a vanishing marginal."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, n)
+    w /= w.sum()
+    w[0] = 0.0
+    if kind == "additive":
+        reward = Additive(w)
+    elif kind == "capped_additive":
+        reward = CappedAdditive(w, rng.uniform(0.4, 1.0))
+    elif kind == "symmetric_two_class":
+        reward = SymmetricTwoClass(0.0, rng.uniform(0.1, 1.0) / (n - 1), n - 1)
+    else:
+        n_elem = min(2 * n, 48)
+        ew = rng.uniform(0.2, 1.0, n_elem)
+        covers = [[]] + [rng.choice(n_elem, size=int(rng.integers(1, n_elem // 3 + 2)),
+                                    replace=False) for _ in range(n - 1)]
+        reward = Coverage(ew / ew.sum(), covers)
+        if kind == "explicit":
+            reward = ExplicitTable(n, reward.value_table())
+    singles = np.array([reward.value(1 << i) for i in range(n)])
+    costs = rng.uniform(0.05, 1.0, n) * singles * 10 ** rng.uniform(-2.0, 0.0, n)
+    costs[0] = rng.uniform(0.01, 1.0)
+    costs[1] = 2.0 * singles[1] + 1e-3
+    return Instance(n, costs, reward)
+
+
+_MODES = [ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(1.0), ModeSpec.beta_nd(2.5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "capped_additive", "coverage", "explicit",
+                          "symmetric_two_class"]),
+    n=st.integers(2, 22),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_pricing_reads_only_the_members_byte_for_byte(kind, n, seed, data):
+    """optimal_contract_for_set, and the utility-only path that prices
+    _report's reference, equal a pricing from the full marginals array
+    and value(): members, payment bytes, utility, feasibility and reason.
+    The masks include the empty and the full set, sets that hold neither
+    agent 0 nor agent 1, sets with a vanishing marginal and sets paid
+    above 1."""
+    if kind == "explicit":
+        n = min(n, 12)
+    inst = _pricing_instance(kind, n, seed)
+    full = (1 << n) - 1
+    drawn = data.draw(st.integers(0, full))
+    masks = {"empty": 0, "full": full, "others": full & ~3, "drawn": drawn & ~3,
+             "zero": drawn | 1, "above": 2, "above-set": (drawn | 2) & ~1}
+    for name, mask in masks.items():
+        for spec in _MODES:
+            want = _price_from_marginals(inst, mask, spec)
+            assert _outcome_bytes(optimal_contract_for_set(inst, mask, spec)) == want, name
+        utility = _price_from_marginals(inst, mask, ModeSpec.unconstrained())[2]
+        assert np.float64(_utility(inst, mask)).tobytes() == utility, name
+        if name in ("zero", "above", "above-set"):
+            assert not want[3], name
+        if name in ("zero", "above"):
+            assert want[4] == ("zero-marginal" if name == "zero" else "payment-above-one")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31), data=st.data())
+def test_pricing_reads_only_the_members_on_lemma9(seed, data):
+    """The same byte-for-byte equality on lemma9 at n = 16,000, for the
+    empty set, the full set, a prefix and a random set."""
+    rng = np.random.default_rng(seed)
+    inst = gen_two_class("lemma9", 16_000, epsilon=10 ** -rng.uniform(5, 7))
+    bools = rng.random(inst.n) < rng.random()
+    masks = [0, (1 << inst.n) - 1, (1 << data.draw(st.integers(1, inst.n))) - 1,
+             int.from_bytes(np.packbits(bools, bitorder="little").tobytes(), "little")]
+    for mask in masks:
+        for spec in _MODES:
+            want = _price_from_marginals(inst, mask, spec)
+            assert _outcome_bytes(optimal_contract_for_set(inst, mask, spec)) == want
+        utility = _price_from_marginals(inst, mask, ModeSpec.unconstrained())[2]
+        assert np.float64(_utility(inst, mask)).tobytes() == utility
+
+
+@pytest.mark.parametrize("kind", ["capped_additive", "coverage"])
+def test_pricing_an_s_member_set_values_s_plus_one_sets(kind, monkeypatch):
+    """optimal_contract_for_set's docstring: pricing an s-member set of a
+    capped reward makes s + 1 _value_of_mask calls, and of a coverage
+    reward sums s + 1 coverage rows, not n + 1, at n = 8..64, s = 1..n."""
+    counted = []
+    if kind == "capped_additive":
+        value = CappedAdditive._value_of_mask
+        monkeypatch.setattr(CappedAdditive, "_value_of_mask",
+                            lambda self, mask: counted.append(1) or value(self, mask))
+    else:
+        sums = Coverage._sums
+        monkeypatch.setattr(Coverage, "_sums", lambda self, covered: counted.append(
+            covered.size // covered.shape[-1]) or sums(self, covered))
+    for n in range(8, 65):
+        inst = gen_random(kind, n, seed=n)
+        rng = np.random.default_rng(n)
+        for s in range(1, n + 1):
+            members = rng.choice(n, size=s, replace=False)
+            counted.clear()
+            optimal_contract_for_set(inst, members, ModeSpec.nd())
+            assert sum(counted) == s + 1, (n, s)

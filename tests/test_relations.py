@@ -2,7 +2,7 @@
 brute_force at n = 2..20, on both sides of SPLIT_N, and on the
 structured solvers, symmetric_solve and geometric_solve; nd as the
 pay ratio 1, the same regime as beta_nd(1.0), on every exact solver;
-and the partition guarantees on relabelled instances.  Each instance's
+brute_force and the partition guarantees on relabelled instances.  Each instance's
 regimes are solved in a random order on a shared slot, so that later
 solves take the kept-sets path (rewards.table_rows) where it applies.
 
@@ -17,11 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairpay import rewards
-from fairpay.contracts import Instance, ModeSpec
+from fairpay.contracts import BOUND_SLACK, Instance, ModeSpec, optimal_contract_for_set
 from fairpay.errors import SizeLimitError, StructureError
 from fairpay.experiments import random_two_agent_instance, solve_with
 from fairpay.families import gen_geometric_family, gen_random, gen_two_class
-from fairpay.rewards import Additive, CappedAdditive, Coverage, ExplicitTable
+from fairpay.rewards import Additive, CappedAdditive, Coverage, ExplicitTable, as_mask
 from fairpay.solvers import (
     SPLIT_N,
     brute_force,
@@ -164,6 +164,32 @@ def test_partition_guarantees_hold_under_relabelling(kind, n, seed, data):
         part = delta_partition(inst, base.members, delta)
         bound = (base.utility - n**-delta) / part.guarantee_denominator - 1e-9
         assert part.best().utility >= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["additive", "capped_additive", "coverage"]),
+    n=st.one_of(st.integers(2, 20), st.integers(SPLIT_N, 20)),
+    seed=st.integers(0, 10_000),
+    order=st.permutations(range(len(CHAIN))),
+    data=st.data(),
+)
+def test_brute_force_relabelling(kind, n, seed, order, data):
+    """A random relabelling of the agents keeps every regime's utility and
+    opt_reference within RELATION_TOL.  The winner is the image of the
+    original winner, unless that image, priced on the relabelled
+    instance, lies within BOUND_SLACK of the winner: a near-tie, which
+    either pricing may break its own way."""
+    inst = gen_random(kind, n, seed=seed)
+    perm = data.draw(st.permutations(range(n)))
+    moved = _relabelled(inst, perm)
+    for before, after, spec in zip(_solve(inst, order), _solve(moved, order), CHAIN):
+        assert abs(after.best.utility - before.best.utility) <= RELATION_TOL
+        assert abs(after.opt_reference - before.opt_reference) <= RELATION_TOL
+        image = as_mask([i for i in range(n) if before.best.members >> perm[i] & 1], n)
+        if after.best.members != image:
+            priced = optimal_contract_for_set(moved, image, spec).utility
+            assert abs(priced - after.best.utility) <= BOUND_SLACK, (image, after.best.members)
 
 
 def _scaled(inst, s):
