@@ -243,9 +243,12 @@ def optimal_contract_for_set(inst: Instance, subset, spec: ModeSpec) -> Incentiv
 
     Members are priced together, costs[S] / marginals(S)[S], from one
     RewardFunction._member_terms call, which also gives f(S): pricing an
-    s-member set makes s + 1 _value_of_mask calls on a capped reward,
-    sums s + 1 coverage rows on a coverage one, and calls no oracle on
-    additive and explicit rewards; the rest is O(n) array work.
+    s-member set sums s + 1 coverage rows on a coverage reward, one
+    gather of the members' weights and its s x (s - 1) leave-one-out
+    matrix on a capped one (50 us for the full set at n = 64, quartiles
+    37-54, against 489 us, 325-527, with s + 1 _value_of_mask calls;
+    21 interleaved rounds, 2 vCPUs), and calls no oracle on additive and
+    explicit rewards; the rest is O(n) array work.
     """
     mask = as_mask(subset, inst.n)
     n = inst.n

@@ -288,6 +288,22 @@ class CappedAdditive(RewardFunction):
     def _value_of_mask(self, mask: int) -> float:
         return min(self.cap, float(self.weights[mask_to_bools(mask, self.n)].sum()))
 
+    def _member_terms(self, mask, members):
+        """From one gather of the members' weights: row i of the s x (s - 1)
+        leave-one-out matrix, built GATHER_BLOCK entries at a time, holds
+        every member but the i-th in order, and numpy sums each row of a
+        C-contiguous matrix pairwise as it sums a 1-d gather, so each f(S - i)
+        is _value_of_mask(mask ^ 1 << i) bit for bit."""
+        w = self.weights[members]
+        f_S = _clip01(min(self.cap, float(w.sum())))
+        rest = np.empty(w.size)
+        cols = np.arange(w.size - 1)
+        step = max(1, GATHER_BLOCK // max(1, cols.size))
+        for lo in range(0, w.size, step):
+            drop = np.arange(lo, min(lo + step, w.size))[:, None]
+            rest[lo : lo + step] = w[cols + (cols >= drop)].sum(axis=1)
+        return f_S - np.minimum(rest, self.cap, out=rest), f_S
+
     def value_table(self) -> np.ndarray:
         return _additive_table(self.weights, self.cap)
 
@@ -583,12 +599,6 @@ def table_rows(f: RewardFunction, k: int) -> TableRows:
     _last_rows = None
     _last_rows = TableRows(f, k)
     return _last_rows
-
-
-def dense_table(f: RewardFunction) -> np.ndarray:
-    """Read-only value table of f, shared by consecutive callers through
-    table_rows: its one row of 2^n masks."""
-    return table_rows(f, f.n).table
 
 
 def halves(arr: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:

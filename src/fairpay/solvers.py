@@ -614,23 +614,48 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
     optimal_contract_for_set, its top rate must be at most 1, and each
     member is paid max(rate, top / spec.pay_ratio).  Within a block (L, j)
     the utility is a concave quadratic in p, and _best_count scores only
-    the counts that can be its first float maximum.  It is given the best utility found
-    so far in its mode, and skips a block whose continuous maximum,
-    with rounding slack, is below it: every count there loses to the
-    best so far, so the winners are a full scan's.  Block winners are
-    ranked by (utility, member count, first member), and only the final
-    winner and reference get a bitmask.  The pay of classes L..j-1 is
-    summed afresh only when the floor top / ratio rises.  With k classes
-    this is O(k^2) cap and bar checks (O(k^3) if the top rate rises at
-    most classes, which neither family does), plus the blocks actually
-    scored, and O(n) to price the winner and the reference.  On the
-    geometric family only the first row, L = 0, holds winners, and of
-    the m(m + 1) blocks of both modes 2m are scored (2m + 1 at worst,
-    counted at m = 4..20, T = 2, 3, 10 in three modes).
+    the counts that can be its first float maximum.  It is given the best
+    utility found so far in its mode, the bar, and skips a block whose
+    continuous maximum, with rounding slack, is below it: every count
+    there loses to the best so far, so the winners are a full scan's.
+    Block winners are ranked by (utility, member count, first member),
+    and only the final winner and reference get a bitmask.  The floor top
+    / ratio and the pay of classes L..j-1 are formed afresh only when the
+    top rate rises; when the floor stays, that sum is the running one.
+
+    Before _best_count, a screen of a few flops dismisses most blocks.
+    With A = base, Y = value + size w (height, formed once for both modes
+    and carried on as the next value), X = A + size s and u = 2^-53,
+    every U(p) <= max(0, 1 - A) Y, as F(p) <= 1 - A and 0 <= G(p) <= Y,
+    and _best_count bounds each float u(p) by U(p) + u Y (4 + 6X).  The
+    scan reaches a block only while every rate and the floor are at most
+    1 + COMPARE_TOL, so A sums at most N = starts[-1] such pays and, with
+    its roundings, X < 2N (N < 2^48).  So u(p) <= Y (max(0, 1 - A) + u
+    (4 + 12N)).  As computed, c = max(0, 1 - A) is within u of its exact
+    value and at most 1, and the two steps of height, the sum c + slack
+    and the product lose at most a factor (1 - u)^4 >= 1 - 4u: the
+    screen is at least Y (c + slack - 4u (1 + slack)).  That is at least
+    the bound on u(p) when slack (1 - 4u) >= u (9 + 12N), which slack =
+    ULP8 (2 + 2N) = 16u (1 + N), formed exactly, meets.  (Y > MARGINAL_TOL
+    in a reached block, so underflow is far below Y slack.)  A screen
+    below the bar thus puts every u(p) below it, and block_winner would
+    return its key unchanged.
+
+    With k classes this is O(k^2) screens (O(k^3) if the top rate rises
+    at most classes, which neither family does), plus the blocks that
+    pass the screen, and O(n) to price the winner and the reference.  On
+    the geometric family only the first row, L = 0, holds winners: of the
+    m(m + 1) blocks of both modes at most 4m + 3 pass the screen (83 of
+    420 at m = 20), and _best_count scores 2m of them (2m + 1 at worst),
+    counted at m = 4..20, T = 2, 3, 10 in three modes.  At m = 13 the scan
+    of the unconstrained, nd and beta = sqrt(n) modes takes 0.40 ms in
+    all (quartiles 0.39-0.44), against 0.71 ms (0.70-0.78) unscreened
+    (21 interleaved rounds, 2 vCPUs).
     """
     starts = [0, *itertools.accumulate(sizes)]
     rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
     ratio = spec.pay_ratio
+    slack = ULP8 * (2 + 2 * starts[-1])
 
     def block_winner(L, j, base, rate, key):
         """The smaller of key and the key of block (L, j)'s best
@@ -650,19 +675,23 @@ def _class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
         # value, pay_unc and pay: classes L..j-1 whole
         top = floor = value = pay_unc = pay = 0.0
         for j in range(L, len(sizes)):
-            top = max(top, rates[j])
-            if top > 1 + COMPARE_TOL:
-                break  # every later block holds class j too
-            if top / ratio != floor:
+            if rates[j] > top:
+                top = rates[j]
+                if top > 1 + COMPARE_TOL:
+                    break  # every later block holds class j too
                 floor = top / ratio
                 pay = 0.0  # summed afresh, in the same order
                 for g in range(L, j):
                     pay += sizes[g] * max(rates[g], floor)
             elif j > L:
                 pay += sizes[j - 1] * max(rates[j - 1], floor)
-            ref = block_winner(L, j, pay_unc, rates[j], ref)
-            best = block_winner(L, j, pay, max(rates[j], floor), best)
-            value += sizes[j] * weights[j]
+            height = value + sizes[j] * weights[j]
+            # the screen: height (max(0, 1 - base) + slack) bounds every u(p)
+            if height * ((1.0 - pay_unc if pay_unc < 1.0 else 0.0) + slack) >= -ref[0]:
+                ref = block_winner(L, j, pay_unc, rates[j], ref)
+            if height * ((1.0 - pay if pay < 1.0 else 0.0) + slack) >= -best[0]:
+                best = block_winner(L, j, pay, max(rates[j], floor), best)
+            value = height
             pay_unc += sizes[j] * rates[j]
     examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
 
@@ -681,9 +710,10 @@ def symmetric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     classes are agent 0 and the n - 1 identical ones, so _class_solve's
     candidates are (agent 0 in or out) x (the t lowest-index identical
     agents), which covers every distinct utility with the smallest mask.
-    The scan checks three blocks per mode and scores those that can
-    still win, a few scalar steps each; checking the classes and pricing
-    the winner and the reference are O(n) array work.
+    The scan screens three blocks per mode, a few flops each, and enters
+    _best_count on at most six in all; checking the classes and pricing
+    the winner and the reference are O(n) array work: 17 ms at n = 10^6
+    on lemma9 with beta = n, quartiles 16-19 (21 rounds, 2 vCPUs).
     """
     r = inst.reward
     if not isinstance(r, Additive) or inst.n < 2:
@@ -707,10 +737,14 @@ def geometric_solve(inst: Instance, spec: ModeSpec) -> SolveReport:
     sizes s_k = 1, 2, 4, ..., w_k s_k == 1 / m and c_k s_k^2 == c_0, which
     hold bit for bit, s_k being powers of two, on every
     gen_geometric_family(m, T) and any positive rescale of its costs.
-    _class_solve checks the m(m + 1) / 2 blocks per mode in O(m^2)
-    scalar steps, and picks the best prefix in closed form of only the
-    blocks that can still win, about m per mode, plus O(n) to price the
-    winner and the reference.
+    _class_solve screens the m(m + 1) / 2 blocks per mode in a few flops
+    each; at most 4m + 3 of both modes' blocks reach _best_count, which
+    picks the best prefix of about m per mode in closed form, and O(n)
+    prices the winner and the reference.  Per mode (unconstrained, nd and
+    beta = sqrt(n)), a solve's median takes 0.26-0.32 ms at m = 13, with
+    quartiles within 0.25-0.44 (0.36-0.40 ms, 0.35-0.47, unscreened),
+    1.1-1.4 ms (1.04-1.45) at m = 16 and 12-20 ms (11.6-23.2) at m = 20,
+    where the O(n) pricing dominates (21 interleaved rounds, 2 vCPUs).
     """
     r = inst.reward
     if not isinstance(r, Additive):

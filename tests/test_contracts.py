@@ -1,6 +1,7 @@
 """Contract engine tests: payments, utilities, equilibrium, best response."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fairpay.contracts import (
 from fairpay.errors import ContractLogicError, EmptySetError, ParameterError
 from fairpay.experiments import random_two_agent_instance
 from fairpay.families import gen_geometric_family, gen_random, gen_two_agent_tight, gen_two_class
+from fairpay import rewards
 from fairpay.rewards import (
     Additive,
     CappedAdditive,
@@ -524,6 +526,27 @@ def test_pricing_reads_only_the_members_byte_for_byte(kind, n, seed, data):
             assert want[4] == ("zero-marginal" if name == "zero" else "payment-above-one")
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(129, 400), seed=st.integers(0, 2**31), data=st.data())
+def test_capped_pricing_reads_one_gather_byte_for_byte(n, seed, data):
+    """The same byte-for-byte equality on capped rewards with sets of more
+    than 128 members, numpy's pairwise block, and with the leave-one-out
+    matrix built a drawn number of entries at a time, from one entry (a
+    row per block) to a few rows, so that blocks end inside the matrix
+    and the last one is short."""
+    inst = _pricing_instance("capped_additive", n, seed)
+    full = (1 << n) - 1
+    drawn = data.draw(st.integers(0, full))
+    gather = data.draw(st.one_of(st.integers(1, 4 * n), st.just(rewards.GATHER_BLOCK)))
+    with mock.patch.object(rewards, "GATHER_BLOCK", gather):
+        for mask in (full, full & ~3, drawn & ~3, drawn | 1):
+            for spec in _MODES:
+                want = _price_from_marginals(inst, mask, spec)
+                assert _outcome_bytes(optimal_contract_for_set(inst, mask, spec)) == want
+            utility = _price_from_marginals(inst, mask, ModeSpec.unconstrained())[2]
+            assert np.float64(_utility(inst, mask)).tobytes() == utility
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**31), data=st.data())
 def test_pricing_reads_only_the_members_on_lemma9(seed, data):
@@ -545,8 +568,9 @@ def test_pricing_reads_only_the_members_on_lemma9(seed, data):
 @pytest.mark.parametrize("kind", ["capped_additive", "coverage"])
 def test_pricing_an_s_member_set_values_s_plus_one_sets(kind, monkeypatch):
     """optimal_contract_for_set's docstring: pricing an s-member set of a
-    capped reward makes s + 1 _value_of_mask calls, and of a coverage
-    reward sums s + 1 coverage rows, not n + 1, at n = 8..64, s = 1..n."""
+    coverage reward sums s + 1 coverage rows, not n + 1, and of a capped
+    reward makes no _value_of_mask call (it sums one gather of the
+    members' weights), at n = 8..64, s = 1..n."""
     counted = []
     if kind == "capped_additive":
         value = CappedAdditive._value_of_mask
@@ -563,4 +587,4 @@ def test_pricing_an_s_member_set_values_s_plus_one_sets(kind, monkeypatch):
             members = rng.choice(n, size=s, replace=False)
             counted.clear()
             optimal_contract_for_set(inst, members, ModeSpec.nd())
-            assert sum(counted) == s + 1, (n, s)
+            assert sum(counted) == (0 if kind == "capped_additive" else s + 1), (n, s)

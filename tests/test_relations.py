@@ -73,7 +73,7 @@ def test_brute_force_relations_across_instances(
     kind, n, seed, order, agent, raise_by, dummy_cost
 ):
     inst = gen_random(kind, n, seed=seed)
-    rewards.dense_table(Additive([0.5]))  # the first solve starts from an emptied slot
+    rewards.table_rows(Additive([0.5]), 1)  # the first solve starts from an emptied slot
     base = _solve(inst, order)
     opt = [rep.best.utility for rep in base]
     # the regime chain

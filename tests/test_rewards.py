@@ -300,8 +300,8 @@ def _chunk_loop_values(f, masks):
 
 def test_dense_table_is_shared_and_read_only():
     f = gen_random("coverage", 9, seed=2).reward
-    table = rewards.dense_table(f)
-    assert rewards.dense_table(f) is table
+    table = rewards.table_rows(f, f.n).table
+    assert rewards.table_rows(f, f.n).table is table
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[1] = 0.5
@@ -316,23 +316,23 @@ def test_dense_table_of_each_new_reward_is_its_own():
     for kind in ("additive", "coverage", "capped_additive"):
         for seed in range(4):
             f = gen_random(kind, 7, seed=seed).reward
-            assert rewards.dense_table(f).tobytes() == f.value_table().tobytes()
+            assert rewards.table_rows(f, f.n).table.tobytes() == f.value_table().tobytes()
     # the slot holds its reward strongly, so a reward dropped by its caller
     # cannot die and pass its id on to the next one (b's arguments are made
     # first, so that b itself would take a's freed memory, and so its id)
     for k in range(2, 7):
         a = Coverage([0.125 * k, 0.125], [[0], [1], [0, 1]])
-        a_table = rewards.dense_table(a).tobytes()
+        a_table = rewards.table_rows(a, a.n).table.tobytes()
         weights, covers = [0.125, 0.125 * k], [[0], [1], [0, 1]]
         del a  # freed at once: nothing else refers to it
         b = Coverage(weights, covers)
-        assert rewards.dense_table(b).tobytes() == b.value_table().tobytes() != a_table
+        assert rewards.table_rows(b, b.n).table.tobytes() == b.value_table().tobytes() != a_table
 
 
 def test_dense_table_frees_the_old_table_before_building():
     a = gen_random("coverage", 10, seed=1).reward
     b = gen_random("additive", 10, seed=1).reward
-    old = weakref.ref(rewards.dense_table(a))
+    old = weakref.ref(rewards.table_rows(a, a.n).table)
     build = Additive.value_table
 
     def checked_build(self):
@@ -340,7 +340,7 @@ def test_dense_table_frees_the_old_table_before_building():
         return build(self)
 
     with mock.patch.object(Additive, "value_table", checked_build):
-        rewards.dense_table(b)
+        rewards.table_rows(b, b.n).table
     assert old() is None
 
 
@@ -599,6 +599,6 @@ def test_table_rows_are_shared_and_the_whole_table_is_dense_table():
     rows = rewards.table_rows(f, 4)
     assert rewards.table_rows(f, 4) is rows
     whole = rewards.table_rows(f, 9)
-    assert whole is not rows and rewards.dense_table(f) is whole.table
+    assert whole is not rows and rewards.table_rows(f, f.n).table is whole.table
     assert whole.rows(np.zeros(1, np.intp)).base is whole.table
     assert rewards.table_rows(f, 4) is not rows  # the slot held the whole table

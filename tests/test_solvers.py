@@ -140,7 +140,7 @@ def _two_agent(inst, spec):
 def _cold(solve, inst, spec):
     """solve(inst, spec) with a table built afresh: the shared slot holds
     another reward's table first."""
-    rewards.dense_table(Additive([0.5]))
+    rewards.table_rows(Additive([0.5]), 1)
     return _report_bytes(solve(inst, spec))
 
 
@@ -168,7 +168,7 @@ def _count_builds(reward_type):
 def test_consecutive_solves_of_one_reward_build_its_table_once():
     specs = _MODES + [ModeSpec.beta_nd(4.0)]
     for inst in (_random_instance("coverage", 10, 5), _random_instance("additive", 10, 5)):
-        rewards.dense_table(Additive([0.5]))
+        rewards.table_rows(Additive([0.5]), 1)
         with _count_builds(type(inst.reward)) as calls:
             for spec in specs:
                 brute_force(inst, spec)
@@ -569,7 +569,7 @@ def _requested_rows(reward):
 
 def test_brute_force_above_the_split_builds_no_table():
     """From SPLIT_N agents on, brute_force values rows through the
-    reward's oracle: it never calls value_table or dense_table.  Of nd,
+    reward's oracle: it never calls value_table.  Of nd,
     beta_nd and unconstrained solves of one reward, in that order, the
     first asks for each row at most once, but row 0, the low sets, which
     it reads first and may read again in its batch, and the later ones
@@ -577,12 +577,11 @@ def test_brute_force_above_the_split_builds_no_table():
     specs = [ModeSpec.nd(), ModeSpec.beta_nd(2.5), ModeSpec.unconstrained()]
     for kind in ("coverage", "additive"):
         inst = gen_random(kind, SPLIT_N, seed=4)
-        rewards.dense_table(Additive([0.5]))
+        rewards.table_rows(Additive([0.5]), 1)
         patched, start = _requested_rows(inst.reward)
-        with _count_calls(type(inst.reward), "value_table") as tables, \
-                _count_calls(rewards, "dense_table") as dense, patched:
+        with _count_calls(type(inst.reward), "value_table") as tables, patched:
             solves = [(start(), brute_force(inst, spec)) for spec in specs]
-        assert tables.call_count == 0 and dense.call_count == 0
+        assert tables.call_count == 0
         (first, _), *later = solves
         k = (SPLIT_N + 1) // 2
         assert first.count(0) <= 2 and 0 < len(set(first)) < 1 << (SPLIT_N - k)
@@ -643,7 +642,7 @@ def test_later_solves_reuse_the_sets_kept_by_the_first(inst, steps, split, scale
     patched = {"PRICE_ALL_N": 0, "SPLIT_N": 0 if split else SPLIT_N}
     with mock.patch.multiple("fairpay.solvers", **patched):
         cold = [_cold(brute_force, case, spec) for case, spec in solves]
-        rewards.dense_table(Additive([0.5]))
+        rewards.table_rows(Additive([0.5]), 1)
         assert [_report_bytes(brute_force(case, spec)) for case, spec in solves] == cold
 
 

@@ -8,11 +8,13 @@ pairwise comparison the solvers used before their one sort key.  The
 geometric loop takes its groups from metadata["m"], as geometric_solve
 once did.  _array_class_solve is the class evaluator as it was before it
 picked each block's count in closed form: it scores every count of every
-block as a numpy array.  The evaluator must pick the same winners as all
-three, so every report matches exactly: members, utility, payment bytes,
-opt_reference and candidates_examined.  _best_count's bar, which lets
-the scan skip a block, is checked against the unpruned count, and the
-blocks a geometric solve scores are counted.  The shape check reads no
+block as a numpy array, and _unscreened_class_solve is it as it was
+before it screened each block ahead of _best_count.  The evaluator must
+pick the same winners as all four, so every report matches exactly:
+members, utility, payment bytes, opt_reference and candidates_examined.
+_best_count's bar, which lets the scan skip a block, is checked against
+the unpruned count, and the blocks a geometric solve screens in and
+scores are counted.  The shape check reads no
 metadata: it passes the family with any cost scale, metadata or none,
 and rejects doubling runs off the family that claim it.
 """
@@ -178,6 +180,48 @@ def _array_class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport
     out = optimal_contract_for_set(inst, best[2], spec)
     ref_out = optimal_contract_for_set(inst, ref[2], ModeSpec.unconstrained())
     return SolveReport(spec, out, method, examined, ref_out.utility)
+
+
+def _unscreened_class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
+    """_class_solve as it was before it screened blocks: _best_count is
+    called on every block of both modes, and the pay of classes L..j-1 is
+    summed afresh whenever the floor top / ratio changes."""
+    starts = [0, *itertools.accumulate(sizes)]
+    rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
+    ratio = spec.pay_ratio
+
+    def block_winner(L, j, base, rate, key):
+        found = _best_count(base, rate, value, weights[j], sizes[j], -key[0])
+        if found is None:
+            return key
+        p, util = found
+        return min(key, (-util, starts[j] - starts[L] + p, starts[L]))
+
+    best = ref = _rank(0.0, 0)
+    for L in range(len(sizes)):
+        top = floor = value = pay_unc = pay = 0.0
+        for j in range(L, len(sizes)):
+            top = max(top, rates[j])
+            if top > 1 + COMPARE_TOL:
+                break
+            if top / ratio != floor:
+                floor = top / ratio
+                pay = 0.0
+                for g in range(L, j):
+                    pay += sizes[g] * max(rates[g], floor)
+            elif j > L:
+                pay += sizes[j - 1] * max(rates[j - 1], floor)
+            ref = block_winner(L, j, pay_unc, rates[j], ref)
+            best = block_winner(L, j, pay, max(rates[j], floor), best)
+            value += sizes[j] * weights[j]
+            pay_unc += sizes[j] * rates[j]
+    examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
+
+    def run_mask(key):
+        _, count, first = key
+        return ((1 << count) - 1) << first
+
+    return solvers._report(inst, spec, method, examined, run_mask(best), run_mask(ref))
 
 
 def _assert_same_report(got, want):
@@ -466,6 +510,77 @@ def test_class_scan_scores_about_two_blocks_per_group(T, monkeypatch):
             calls = 0
             geometric_solve(inst, spec)
             assert calls // 2 <= 3 * m, (m, spec)
+
+
+@st.composite
+def _screened_cases(draw):
+    """(solver, instance, beta) for the screen's exactness check: a
+    geometric family at m = 2..14 with T log-uniform in [2, 50] and its
+    costs rescaled by 10^-2 to 10^2, a lemma8 or lemma9 instance, or a
+    random two-class additive instance."""
+    case = draw(st.sampled_from(["geometric", "lemma8", "lemma9", "two-class"]))
+    beta = draw(st.one_of(st.just(1.0), st.floats(1.0, 1e4)))
+    if case == "geometric":
+        m = draw(st.integers(2, 14))
+        inst = gen_geometric_family(m, 2.0 * 25.0 ** draw(st.floats(0.0, 1.0)))
+        scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+        return geometric_solve, Instance(inst.n, inst.costs * scale, inst.reward), beta
+    if case == "lemma8":
+        epsilon = draw(st.floats(0.05, 1.0))
+        M = (3.0 + 1.0 / epsilon) * draw(st.floats(1.001, 3.0))
+        delta = draw(st.floats(0.01, 0.5))
+        n = int(M ** (1.0 / (1.0 - delta))) + draw(st.integers(1, 5000))
+        return symmetric_solve, gen_two_class("lemma8", n, epsilon, M, delta), beta
+    if case == "lemma9":
+        n, epsilon = 2 * draw(st.integers(500, 10_000)), 10.0 ** draw(st.floats(-8.0, -2.0))
+        return symmetric_solve, gen_two_class("lemma9", n, epsilon), beta
+    return symmetric_solve, draw(_two_class_instances()), beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_screened_cases())
+def test_screened_class_solve_matches_the_unscreened_loop(case):
+    """The screen only drops _best_count calls: every report equals the
+    one the unscreened loop gives, in the unconstrained, nd and beta_nd
+    modes, beta = 1 included."""
+    solve, inst, beta = case
+    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
+        got = solve(inst, spec)
+        with mock.patch.object(solvers, "_class_solve", _unscreened_class_solve):
+            want = solve(inst, spec)
+        _assert_same_report(got, want)
+
+
+def _count_best_count(monkeypatch):
+    """A list that holds one entry per _best_count call from then on."""
+    calls = []
+    best_count = solvers._best_count
+    monkeypatch.setattr(solvers, "_best_count", lambda *args: calls.append(1) or best_count(*args))
+    return calls
+
+
+@pytest.mark.parametrize("T", [2.0, 3.0, 10.0])
+def test_class_scan_enters_best_count_at_most_4m_plus_3_times(T, monkeypatch):
+    """_class_solve's docstring: the screen leaves a geometric solve at
+    most 4m + 3 _best_count calls of its m(m + 1), at m = 4..20."""
+    calls = _count_best_count(monkeypatch)
+    for m in range(4, 21):
+        inst = gen_geometric_family(m, T)
+        for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(math.sqrt(inst.n))):
+            calls.clear()
+            geometric_solve(inst, spec)
+            assert len(calls) <= 4 * m + 3, (m, spec)
+
+
+def test_symmetric_solve_enters_best_count_at_most_six_times(monkeypatch):
+    calls = _count_best_count(monkeypatch)
+    insts = [gen_two_class("lemma9", 4000, epsilon=1e-6),
+             gen_two_class("lemma8", 4000, epsilon=0.05, M=25.0, delta=0.2)]
+    for inst in insts:
+        for spec in _specs(inst.n, inst.n**0.5):
+            calls.clear()
+            symmetric_solve(inst, spec)
+            assert len(calls) <= 6, spec
 
 
 def test_symmetric_solve_scales_linearly_to_a_million_agents():
