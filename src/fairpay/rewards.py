@@ -129,13 +129,10 @@ class RewardFunction(ABC):
                 out[i] = self.value(mask | bit) - f_S
         return out
 
+    @abstractmethod
     def _member_terms(self, mask: int, members: np.ndarray) -> tuple[np.ndarray, float]:
         """The members' marginals and f(S), bit for bit marginals(mask)[members]
-        and value(mask), for a validated mask and its mask_to_bools; this
-        version makes |S| + 1 _value_of_mask calls."""
-        f_S = _clip01(self._value_of_mask(mask))
-        drop = (mask ^ 1 << i for i in np.flatnonzero(members).tolist())
-        return np.array([f_S - _clip01(self._value_of_mask(m)) for m in drop]), f_S
+        and value(mask), for a validated mask and its mask_to_bools."""
 
     def value_table(self) -> np.ndarray:
         """Dense table of f over all 2^n bitmasks (index = mask): _oracle's

@@ -8,15 +8,14 @@ pairwise comparison the solvers used before their one sort key.  The
 geometric loop takes its groups from metadata["m"], as geometric_solve
 once did.  _array_class_solve is the class evaluator as it was before it
 picked each block's count in closed form: it scores every count of every
-block as a numpy array, and _unscreened_class_solve is it as it was
-before it screened each block ahead of _best_count.  The evaluator must
-pick the same winners as all four, so every report matches exactly:
-members, utility, payment bytes, opt_reference and candidates_examined.
-_best_count's bar, which lets the scan skip a block, is checked against
-the unpruned count, and the blocks a geometric solve screens in and
-scores are counted.  The shape check reads no
-metadata: it passes the family with any cost scale, metadata or none,
-and rejects doubling runs off the family that claim it.
+block as a numpy array.  The evaluator must pick the same winners as all
+three, so every report matches exactly: members, utility, payment bytes,
+opt_reference and candidates_examined.  _best_count's bar, which lets
+the scan skip a block, is checked against the unpruned count, and the
+blocks a geometric solve screens in and scores are counted.  The shape
+check reads no metadata: it passes the family with any cost scale,
+metadata or none, and rejects doubling runs off the family that claim
+it.
 """
 
 import itertools
@@ -182,48 +181,6 @@ def _array_class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport
     return SolveReport(spec, out, method, examined, ref_out.utility)
 
 
-def _unscreened_class_solve(inst, spec, method, sizes, weights, costs) -> SolveReport:
-    """_class_solve as it was before it screened blocks: _best_count is
-    called on every block of both modes, and the pay of classes L..j-1 is
-    summed afresh whenever the floor top / ratio changes."""
-    starts = [0, *itertools.accumulate(sizes)]
-    rates = [c / w if w > MARGINAL_TOL else math.inf for w, c in zip(weights, costs)]
-    ratio = spec.pay_ratio
-
-    def block_winner(L, j, base, rate, key):
-        found = _best_count(base, rate, value, weights[j], sizes[j], -key[0])
-        if found is None:
-            return key
-        p, util = found
-        return min(key, (-util, starts[j] - starts[L] + p, starts[L]))
-
-    best = ref = _rank(0.0, 0)
-    for L in range(len(sizes)):
-        top = floor = value = pay_unc = pay = 0.0
-        for j in range(L, len(sizes)):
-            top = max(top, rates[j])
-            if top > 1 + COMPARE_TOL:
-                break
-            if top / ratio != floor:
-                floor = top / ratio
-                pay = 0.0
-                for g in range(L, j):
-                    pay += sizes[g] * max(rates[g], floor)
-            elif j > L:
-                pay += sizes[j - 1] * max(rates[j - 1], floor)
-            ref = block_winner(L, j, pay_unc, rates[j], ref)
-            best = block_winner(L, j, pay, max(rates[j], floor), best)
-            value += sizes[j] * weights[j]
-            pay_unc += sizes[j] * rates[j]
-    examined = 1 + sum((j + 1) * size for j, size in enumerate(sizes))
-
-    def run_mask(key):
-        _, count, first = key
-        return ((1 << count) - 1) << first
-
-    return solvers._report(inst, spec, method, examined, run_mask(best), run_mask(ref))
-
-
 def _assert_same_report(got, want):
     assert got.best.members == want.best.members
     assert got.best.utility == want.best.utility
@@ -276,30 +233,53 @@ def test_two_class_scan_matches_loop(inst, beta):
         _assert_same_report(symmetric_solve(inst, spec), _symmetric_solve_loop(inst, spec))
 
 
-def test_symmetric_solve_matches_loop_on_the_lemma_families():
-    for n in (1000, 4000):
-        insts = [
-            gen_two_class("lemma9", n, epsilon=1e-6),
-            gen_two_class("lemma8", n, epsilon=0.05, M=25.0, delta=0.2),
-        ]
-        for inst in insts:
-            for spec in _specs(n, n**0.5):
-                _assert_same_report(symmetric_solve(inst, spec), _symmetric_solve_loop(inst, spec))
+@st.composite
+def _lemma_instances(draw):
+    """A lemma9 instance at n = 1,000..4,000 with epsilon 10^-8..10^-2, or
+    a lemma8 instance with drawn epsilon, M and delta, just above its
+    least n."""
+    if draw(st.booleans()):
+        epsilon = 10.0 ** draw(st.floats(-8.0, -2.0))
+        return gen_two_class("lemma9", 2 * draw(st.integers(500, 2000)), epsilon)
+    epsilon = draw(st.floats(0.05, 1.0))
+    M = (3.0 + 1.0 / epsilon) * draw(st.floats(1.001, 3.0))
+    delta = draw(st.floats(0.01, 0.4))
+    n = int(M ** (1.0 / (1.0 - delta))) + draw(st.integers(1, 2000))
+    return gen_two_class("lemma8", n, epsilon, M, delta)
+
+
+@settings(max_examples=15, deadline=None)
+@given(inst=_lemma_instances(), beta=st.floats(1.0, 1e4))
+@example(inst=gen_two_class("lemma9", 1000, epsilon=1e-6), beta=1000**0.5)
+@example(inst=gen_two_class("lemma9", 4000, epsilon=1e-6), beta=4000**0.5)
+@example(inst=gen_two_class("lemma8", 1000, epsilon=0.05, M=25.0, delta=0.2), beta=1000**0.5)
+@example(inst=gen_two_class("lemma8", 4000, epsilon=0.05, M=25.0, delta=0.2), beta=4000**0.5)
+def test_symmetric_solve_matches_loop_on_the_lemma_families(inst, beta):
+    for spec in _specs(inst.n, beta):
+        _assert_same_report(symmetric_solve(inst, spec), _symmetric_solve_loop(inst, spec))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    m=st.integers(1, 9),
-    T=st.floats(2.0, 50.0),
-    cost_scale=st.sampled_from([1.0, 1.0, 7.0, 300.0, "rate-one"]),
+    m=st.integers(1, 12),
+    T=st.floats(0.0, 1.0).map(lambda u: 2.0 * 25.0**u),
+    cost_scale=st.one_of(
+        st.sampled_from([1.0, 1.0, 7.0, 300.0, "rate-one"]),
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    ),
     beta=st.floats(1.0, 1e4),
 )
+@example(m=13, T=2.0, cost_scale=0.013, beta=1.0)
+@example(m=14, T=37.0, cost_scale=0.021, beta=3.5)
 def test_geometric_solve_matches_loop(m, T, cost_scale, beta):
-    """Scaled costs make the leading groups unaffordable (the scan skips
-    them).  Costs equal to weights, which put every rate at exactly 1,
-    leave the family for m > 1 (c_k 4^k = 2^k / m is not c_0), so the
-    gate rejects them; the ties with the empty set that they made are
-    drawn by _class_lists' "one" classes."""
+    """T is log-uniform in [2, 50] and the cost scale log-uniform in
+    [10^-2, 10^2] besides the fixed ones; m = 13 and 14, where the loop
+    takes about a second, are the two explicit examples.  Scaled costs
+    make the leading groups unaffordable (the scan skips them).  Costs
+    equal to weights, which put every rate at exactly 1, leave the
+    family for m > 1 (c_k 4^k = 2^k / m is not c_0), so the gate rejects
+    them; the ties with the empty set that they made are drawn by
+    _class_lists' "one" classes."""
     inst = gen_geometric_family(m, T)
     if cost_scale == "rate-one":
         costs = np.array(inst.reward.weights)
@@ -510,45 +490,6 @@ def test_class_scan_scores_about_two_blocks_per_group(T, monkeypatch):
             calls = 0
             geometric_solve(inst, spec)
             assert calls // 2 <= 3 * m, (m, spec)
-
-
-@st.composite
-def _screened_cases(draw):
-    """(solver, instance, beta) for the screen's exactness check: a
-    geometric family at m = 2..14 with T log-uniform in [2, 50] and its
-    costs rescaled by 10^-2 to 10^2, a lemma8 or lemma9 instance, or a
-    random two-class additive instance."""
-    case = draw(st.sampled_from(["geometric", "lemma8", "lemma9", "two-class"]))
-    beta = draw(st.one_of(st.just(1.0), st.floats(1.0, 1e4)))
-    if case == "geometric":
-        m = draw(st.integers(2, 14))
-        inst = gen_geometric_family(m, 2.0 * 25.0 ** draw(st.floats(0.0, 1.0)))
-        scale = 10.0 ** draw(st.floats(-2.0, 2.0))
-        return geometric_solve, Instance(inst.n, inst.costs * scale, inst.reward), beta
-    if case == "lemma8":
-        epsilon = draw(st.floats(0.05, 1.0))
-        M = (3.0 + 1.0 / epsilon) * draw(st.floats(1.001, 3.0))
-        delta = draw(st.floats(0.01, 0.5))
-        n = int(M ** (1.0 / (1.0 - delta))) + draw(st.integers(1, 5000))
-        return symmetric_solve, gen_two_class("lemma8", n, epsilon, M, delta), beta
-    if case == "lemma9":
-        n, epsilon = 2 * draw(st.integers(500, 10_000)), 10.0 ** draw(st.floats(-8.0, -2.0))
-        return symmetric_solve, gen_two_class("lemma9", n, epsilon), beta
-    return symmetric_solve, draw(_two_class_instances()), beta
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=_screened_cases())
-def test_screened_class_solve_matches_the_unscreened_loop(case):
-    """The screen only drops _best_count calls: every report equals the
-    one the unscreened loop gives, in the unconstrained, nd and beta_nd
-    modes, beta = 1 included."""
-    solve, inst, beta = case
-    for spec in (ModeSpec.unconstrained(), ModeSpec.nd(), ModeSpec.beta_nd(beta)):
-        got = solve(inst, spec)
-        with mock.patch.object(solvers, "_class_solve", _unscreened_class_solve):
-            want = solve(inst, spec)
-        _assert_same_report(got, want)
 
 
 def _count_best_count(monkeypatch):
